@@ -26,6 +26,7 @@ from .backends import (
     TrainingRecipe,
     labeled_examples,
     load_model,
+    predict_all,
     save_model,
 )
 from .certainty import (

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .backends import ClassifierBackend
+from .backends import ClassifierBackend, predict_all
 from .certainty import _load_tsv
 from .corpus import Conversation, ThreadReplyPair, primary_pairs
 from .errors import DegenerateEvidence, EmptyEvidence
@@ -72,10 +72,19 @@ class AggregateScore:
 
 def score_pairs(conv: Conversation, backend: ClassifierBackend) -> list[StanceScore]:
     """One stance score per primary reply, in stable reply order."""
-    return [
-        StanceScore(pair=pair, softmax=backend.predict((pair.thread_text, pair.reply_text)))
-        for pair in primary_pairs(conv)
-    ]
+    return score_conversations([conv], backend)[0]
+
+
+def score_conversations(
+    convs: Sequence[Conversation], backend: ClassifierBackend
+) -> list[list[StanceScore]]:
+    """score_pairs() for every conversation, from one batched call over all
+    their primary pairs."""
+    pairs = [primary_pairs(conv) for conv in convs]
+    softmaxes = iter(
+        predict_all(backend, [(p.thread_text, p.reply_text) for ps in pairs for p in ps])
+    )
+    return [[StanceScore(pair=p, softmax=next(softmaxes)) for p in ps] for ps in pairs]
 
 
 def aggregate(scores: Sequence[StanceScore]) -> AggregateScore:
@@ -101,15 +110,22 @@ def classify_agreement(
     conv: Conversation, backend: ClassifierBackend, epsilon: float
 ) -> VeracityPrediction:
     """Decide a thread's veracity from its aggregated reply stances."""
-    scores = score_pairs(conv, backend)
+    return agreement_prediction(conv.thread.id, score_pairs(conv, backend), epsilon)
+
+
+def agreement_prediction(
+    thread_id: str, scores: Sequence[StanceScore], epsilon: float
+) -> VeracityPrediction:
+    """The agreement channel's verdict from a thread's stance scores,
+    abstaining when there are none or they carry no agree/disagree mass."""
     if not scores:
-        return _abstain(conv.thread.id, 0, WARN_NO_PRIMARY_REPLIES)
+        return _abstain(thread_id, 0, WARN_NO_PRIMARY_REPLIES)
     try:
         agg = aggregate(scores)
     except DegenerateEvidence:
-        return _abstain(conv.thread.id, len(scores), WARN_DEGENERATE_EVIDENCE)
+        return _abstain(thread_id, len(scores), WARN_DEGENERATE_EVIDENCE)
     return VeracityPrediction(
-        thread_id=conv.thread.id,
+        thread_id=thread_id,
         label=decide(agg.normalized, (TRUE, FALSE), epsilon),
         channel=CHANNEL_AGREEMENT,
         assignment=None,

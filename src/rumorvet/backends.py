@@ -1,7 +1,8 @@
 """Pluggable sequence-classification backends.
 
 Every channel talks to a ClassifierBackend: fit on (input, target
-distribution) examples under a TrainingRecipe, then predict a ProbVector.
+distribution) examples under a TrainingRecipe, then predict a ProbVector
+per input, many inputs at a time through predict_batch.
 Inputs are single texts or (text, text) pairs depending on the backend's
 input kind. Calling fit twice continues training from the current state,
 which is how the pretrain-then-fine-tune recipes are realized.
@@ -20,6 +21,7 @@ import json
 import re
 import zlib
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -74,7 +76,10 @@ class ClassifierBackend(abc.ABC):
     fit() smooths the given hard targets itself (recipe.label_smoothing),
     so channels pass one-hot targets. predict() must be deterministic for a
     fixed trained state, safe for concurrent read-only use, and return a
-    distribution over self.classes in order.
+    distribution over self.classes in order. predict_batch() returns
+    exactly what predict() would for each input, in input order; the
+    default loops over predict(), and backends override it where scoring
+    many inputs at once is cheaper.
     """
 
     classes: tuple[str, ...]
@@ -88,12 +93,36 @@ class ClassifierBackend(abc.ABC):
     def predict(self, x: BackendInput) -> ProbVector:
         """Distribution over self.classes for one input."""
 
+    def predict_batch(self, xs: Sequence[BackendInput]) -> list[ProbVector]:
+        """predict() for every input, in input order."""
+        return [self.predict(x) for x in xs]
+
+
+def predict_all(backend, xs: Sequence[BackendInput]) -> list[ProbVector]:
+    """Score every input with one predict_batch() call.
+
+    Channels reach backends only through here. An empty input list makes
+    no call at all, and a duck-typed backend that only implements
+    predict() is scored one input at a time.
+    """
+    if not xs:
+        return []
+    batch = getattr(backend, "predict_batch", None)
+    if batch is None:
+        return [backend.predict(x) for x in xs]
+    return batch(xs)
+
 
 def labeled_examples(
     pairs: Sequence[tuple[BackendInput, str]], classes: tuple[str, ...]
 ) -> list[tuple[BackendInput, ProbVector]]:
     """Turn (input, label) pairs into the hard-target form fit() expects."""
     return [(x, one_hot(label, classes)) for x, label in pairs]
+
+
+# Inputs featurised and scored together. Bounds the working set of a large
+# predict_batch() or fit() to a few hundred inputs' features.
+PREDICT_CHUNK = 256
 
 
 class ReferenceBackend(ClassifierBackend):
@@ -107,6 +136,14 @@ class ReferenceBackend(ClassifierBackend):
     optimizer are transformer-scale knobs that a linear model cannot use,
     so they are recorded for provenance only and the update uses a fixed
     internal step size.
+
+    Storage: an int32 bucket -> row index (0 for a bucket no fit() has
+    touched) over a growing float64 rows table whose row 0 stays zero.
+    fit() and predict_batch() work on whole minibatches and chunks with
+    array code, yet add every term in the order the per-example
+    definition does (bias first, then count * row per distinct bucket in
+    first-occurrence order; gradients example by example), so models and
+    predictions are bit-for-bit those of the per-example loops.
     """
 
     backend_kind = "reference"
@@ -128,108 +165,171 @@ class ReferenceBackend(ClassifierBackend):
         self.n_buckets = int(n_buckets)
         self.seed = int(seed)
         self.step_size = float(step_size)
-        self._weights: dict[int, np.ndarray] | None = None
+        self._index: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
+        self._n_rows = 0
         self._bias: np.ndarray | None = None
         self._recipes: list[dict] = []
 
     # -- features ----------------------------------------------------------
 
-    def _bucket(self, token: str) -> int:
-        return zlib.crc32(token.encode("utf-8")) % self.n_buckets
-
-    def _feature_counts(self, x: BackendInput) -> dict[int, float]:
+    def _sides(self, x: BackendInput) -> tuple[tuple[str, str], ...]:
         if self.input_kind == INPUT_TEXT:
             if not isinstance(x, str):
                 raise ValueError(f"text backend expects a string input, got {type(x).__name__}")
-            sides = [("", x)]
-        else:
-            if not (isinstance(x, tuple) and len(x) == 2):
-                raise ValueError("pair backend expects a (text, text) input")
-            sides = [("a|", x[0]), ("b|", x[1])]
-        counts: dict[int, float] = {}
-        for prefix, text in sides:
-            for token in _TOKEN_RE.findall(text.lower()):
-                b = self._bucket(prefix + token)
-                counts[b] = counts.get(b, 0.0) + 1.0
-        return counts
+            return (("", x),)
+        if not (isinstance(x, tuple) and len(x) == 2):
+            raise ValueError("pair backend expects a (text, text) input")
+        return (("a|", x[0]), ("b|", x[1]))
+
+    def _hashed(self, xs: Sequence[BackendInput]) -> tuple[np.ndarray, np.ndarray]:
+        """Every input's token buckets, concatenated in order, and the token
+        count of each input. Each distinct side text is tokenised and hashed
+        once; crc32(prefix + token) is computed as crc32(token, crc32(prefix))."""
+        distinct: dict[tuple[str, str], int] = {}
+        order = [distinct.setdefault(side, len(distinct)) for x in xs for side in self._sides(x)]
+        tokens = [_TOKEN_RE.findall(text.lower()) for _, text in distinct]
+        sizes = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+        seeds = [zlib.crc32(prefix.encode("utf-8")) for prefix, _ in distinct]
+        hashes = np.fromiter(
+            map(
+                zlib.crc32,
+                map(str.encode, chain.from_iterable(tokens)),
+                chain.from_iterable(map(repeat, seeds, sizes.tolist())),
+            ),
+            dtype=np.int64,
+            count=int(sizes.sum()),
+        )
+        # Gather each (input, side) segment of the distinct texts' hashes.
+        order = np.array(order, dtype=np.int64)
+        seg = sizes[order]
+        shift = (np.cumsum(sizes) - sizes)[order] - (np.cumsum(seg) - seg)
+        picked = hashes[np.repeat(shift, seg) + np.arange(int(seg.sum()))]
+        return picked % self.n_buckets, seg.reshape(len(xs), -1).sum(axis=1)
+
+    def _merge(self, buckets: np.ndarray, lengths: np.ndarray):
+        """(example, bucket, count) per distinct bucket of each example, in
+        first-occurrence order; duplicates merge across the two pair sides."""
+        example = np.repeat(np.arange(len(lengths)), lengths)
+        keys, first, inverse = np.unique(
+            example * self.n_buckets + buckets, return_index=True, return_inverse=True
+        )
+        counts = np.bincount(inverse, minlength=len(keys)).astype(np.float64)
+        order = np.argsort(first, kind="stable")
+        keys = keys[order]
+        return keys // self.n_buckets, keys % self.n_buckets, counts[order]
 
     # -- training ----------------------------------------------------------
 
     def _ensure_initialized(self) -> None:
         if self._bias is None:
             rng = np.random.default_rng(self.seed)
-            self._weights = {}
+            self._index = np.zeros(self.n_buckets, dtype=np.int32)
+            self._rows = np.zeros((1, len(self.classes)))
+            self._n_rows = 1
             # Tiny seeded bias noise: deterministic tie-breaking without
             # populating the (sparse) weight table.
             self._bias = rng.normal(0.0, 1e-9, len(self.classes))
 
-    def _logits(self, counts: dict[int, float]) -> np.ndarray:
-        z = self._bias.copy()
-        for b, c in counts.items():
-            row = self._weights.get(b)
-            if row is not None:
-                z += c * row
+    def _logits(self, example, buckets, counts, n: int) -> np.ndarray:
+        """(n, K) logits. bincount adds each example's bias first, then its
+        count * row terms in entry order, as the per-example sum did."""
+        terms = counts[:, None] * self._rows[self._index[buckets]]
+        slots = np.concatenate([np.arange(n), example])
+        z = np.empty((n, len(self.classes)))
+        for j, bias in enumerate(self._bias):
+            z[:, j] = np.bincount(
+                slots, weights=np.concatenate([np.full(n, bias), terms[:, j]]), minlength=n
+            )
         return z
 
     def fit(self, examples: Sequence[tuple[BackendInput, ProbVector]], recipe: TrainingRecipe) -> None:
         if not examples:
             raise ValueError("fit needs at least one example")
         k = len(self.classes)
-        prepared = []
-        for x, target in examples:
+        for _, target in examples:
             if target.k != k:
                 raise ValueError(f"target has {target.k} components, backend has {k} classes")
-            smoothed = smooth_labels(target, recipe.label_smoothing)
-            prepared.append((self._feature_counts(x), np.array(smoothed.values)))
+        targets = np.array(
+            [smooth_labels(target, recipe.label_smoothing).values for _, target in examples]
+        )
+        inputs = [x for x, _ in examples]
+        chunks = range(0, len(inputs), PREDICT_CHUNK)
+        hashed = [self._hashed(inputs[i : i + PREDICT_CHUNK]) for i in chunks]
+        buckets = np.concatenate([b for b, _ in hashed])
+        lengths = np.concatenate([n for _, n in hashed])
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
         self._ensure_initialized()
         for _ in range(recipe.epochs):
-            for start in range(0, len(prepared), recipe.batch_size):
-                self._step(prepared[start : start + recipe.batch_size])
+            for start in range(0, len(examples), recipe.batch_size):
+                stop = min(start + recipe.batch_size, len(examples))
+                batch = buckets[offsets[start] : offsets[stop]]
+                self._step(*self._merge(batch, lengths[start:stop]), targets[start:stop])
         self._recipes.append({"n_examples": len(examples), "recipe": recipe.to_dict()})
 
-    def _step(self, batch) -> None:
-        scale = self.step_size / len(batch)
-        k = len(self.classes)
-        bias_grad = np.zeros(k)
-        weight_grad: dict[int, np.ndarray] = {}
-        for counts, target in batch:
-            err = _softmax(self._logits(counts)) - target
-            bias_grad += err
-            for b, c in counts.items():
-                g = weight_grad.get(b)
-                if g is None:
-                    g = weight_grad[b] = np.zeros(k)
-                g += c * err
-        for b, g in weight_grad.items():
-            row = self._weights.get(b)
-            if row is None:
-                row = self._weights[b] = np.zeros(k)
-            row -= scale * g
+    def _step(self, example, buckets, counts, targets) -> None:
+        n = len(targets)
+        scale = self.step_size / n
+        err = _softmax_rows(self._logits(example, buckets, counts, n)) - targets
+        # Sequential sums, example by example, like the per-example loop.
+        bias_grad = np.cumsum(err, axis=0)[-1]
+        touched, slot = np.unique(buckets, return_inverse=True)
+        terms = counts[:, None] * err[example]
+        grad = np.empty((len(touched), len(self.classes)))
+        for j in range(len(self.classes)):
+            grad[:, j] = np.bincount(slot, weights=terms[:, j], minlength=len(touched))
+        rows = self._row_ids(touched)
+        self._rows[rows] -= scale * grad
         self._bias -= scale * bias_grad
+
+    def _row_ids(self, buckets: np.ndarray) -> np.ndarray:
+        """Rows of the given distinct buckets, giving untouched ones new zero rows."""
+        rows = self._index[buckets]
+        new = np.flatnonzero(rows == 0)
+        if len(new):
+            first, self._n_rows = self._n_rows, self._n_rows + len(new)
+            if self._n_rows > len(self._rows):
+                grown = np.zeros((max(2 * len(self._rows), self._n_rows), len(self.classes)))
+                grown[:first] = self._rows[:first]
+                self._rows = grown
+            ids = np.arange(first, self._n_rows, dtype=np.int32)
+            self._index[buckets[new]] = ids
+            rows[new] = ids
+        return rows
 
     # -- inference ---------------------------------------------------------
 
     def predict(self, x: BackendInput) -> ProbVector:
+        return self.predict_batch([x])[0]
+
+    def predict_batch(self, xs: Sequence[BackendInput]) -> list[ProbVector]:
         if self._bias is None or not self._recipes:
             raise UntrainedBackend("reference backend has not been fitted")
-        p = _softmax(self._logits(self._feature_counts(x)))
-        return ProbVector(tuple(float(v) for v in p))
+        out = []
+        for start in range(0, len(xs), PREDICT_CHUNK):
+            chunk = xs[start : start + PREDICT_CHUNK]
+            merged = self._merge(*self._hashed(chunk))
+            p = _softmax_rows(self._logits(*merged, len(chunk)))
+            out.extend(ProbVector(tuple(row)) for row in p.tolist())
+        return out
 
     # -- persistence -------------------------------------------------------
 
     def payload(self) -> dict:
+        """Model-format-1 state. Lists every bucket any fit() touched, zero
+        rows included, in bucket order."""
         if self._bias is None or not self._recipes:
             raise UntrainedBackend("cannot save an unfitted backend")
+        touched = np.flatnonzero(self._index)
+        rows = self._rows[self._index[touched]].tolist()
         return {
             "classes": list(self.classes),
             "input_kind": self.input_kind,
             "n_buckets": self.n_buckets,
             "seed": self.seed,
             "step_size": self.step_size,
-            "bias": [float(v) for v in self._bias],
-            "weights": {
-                str(b): [float(v) for v in row] for b, row in sorted(self._weights.items())
-            },
+            "bias": self._bias.tolist(),
+            "weights": dict(zip(map(str, touched.tolist()), rows)),
             "recipes": self._recipes,
         }
 
@@ -242,17 +342,29 @@ class ReferenceBackend(ClassifierBackend):
             seed=payload["seed"],
             step_size=payload["step_size"],
         )
+        k = len(backend.classes)
+        weights = payload["weights"]
+        buckets = np.fromiter(map(int, weights), dtype=np.int64, count=len(weights))
+        try:
+            rows = np.array([[0.0] * k, *weights.values()], dtype=np.float64)
+        except ValueError as exc:
+            raise ModelFormatError(f"weight rows must have {k} components") from exc
+        if rows.shape != (len(buckets) + 1, k):
+            raise ModelFormatError(f"weight rows must have {k} components")
+        if len(buckets) and not (0 <= buckets.min() and buckets.max() < backend.n_buckets):
+            raise ModelFormatError(f"weight bucket outside [0, {backend.n_buckets})")
         backend._bias = np.array([float(v) for v in payload["bias"]])
-        backend._weights = {
-            int(b): np.array([float(v) for v in row]) for b, row in payload["weights"].items()
-        }
+        backend._index = np.zeros(backend.n_buckets, dtype=np.int32)
+        backend._index[buckets] = np.arange(1, len(buckets) + 1)
+        backend._rows = rows
+        backend._n_rows = len(rows)
         backend._recipes = list(payload["recipes"])
         return backend
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def save_model(backend, path) -> None:

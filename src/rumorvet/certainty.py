@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .backends import ClassifierBackend, TrainingRecipe, labeled_examples
+from .backends import ClassifierBackend, TrainingRecipe, labeled_examples, predict_all
 from .corpus import Conversation, Post
 from .errors import CorpusFormatError, InsufficientClassExamples
 from .probs import ProbVector
@@ -46,20 +46,22 @@ class ChannelAssignment:
 
 def classify_certainty(thread: Post, backend: ClassifierBackend) -> ChannelAssignment:
     """Assign one thread to the certain or uncertain group."""
-    p = backend.predict(thread.text_clean)
-    return ChannelAssignment(
-        thread_id=thread.id,
-        label=CERTAINTY_CLASSES[p.argmax()],
-        confidence=p,
-    )
+    return assign_threads(backend, [thread])[0]
+
+
+def assign_threads(backend: ClassifierBackend, threads: Sequence[Post]) -> list[ChannelAssignment]:
+    """Certainty assignment per thread, in order, from one batched call."""
+    probs = predict_all(backend, [t.text_clean for t in threads])
+    return [
+        ChannelAssignment(thread_id=t.id, label=CERTAINTY_CLASSES[p.argmax()], confidence=p)
+        for t, p in zip(threads, probs)
+    ]
 
 
 def self_label(backend: ClassifierBackend, convs: Iterable[Conversation]) -> list[LabeledText]:
     """Label train threads with the pretrained classifier's own output."""
-    return [
-        (c.thread.text_clean, CERTAINTY_CLASSES[backend.predict(c.thread.text_clean).argmax()])
-        for c in convs
-    ]
+    texts = [c.thread.text_clean for c in convs]
+    return [(t, CERTAINTY_CLASSES[p.argmax()]) for t, p in zip(texts, predict_all(backend, texts))]
 
 
 def build_phase1_training(
@@ -118,7 +120,7 @@ def assign_all(
     backend: ClassifierBackend, convs: Iterable[Conversation]
 ) -> dict[str, ChannelAssignment]:
     """Certainty assignment for every conversation, keyed by thread id."""
-    return {c.thread.id: classify_certainty(c.thread, backend) for c in convs}
+    return {a.thread_id: a for a in assign_threads(backend, [c.thread for c in convs])}
 
 
 def load_hedge_corpus(path) -> list[LabeledText]:

@@ -179,7 +179,7 @@ def _parse_window_token(token: str) -> Optional[int]:
 def _parse_windows(raw: Optional[str], default: Optional[int]) -> list[Optional[int]]:
     if raw is None:
         return [default]
-    return [_parse_window_token(tok) for tok in str(raw).split(",")]
+    return _distinct([_parse_window_token(tok) for tok in str(raw).split(",")], "--window-days")
 
 
 def _parse_modes(raw: Optional[str], default: str) -> list[str]:
@@ -193,7 +193,15 @@ def _parse_modes(raw: Optional[str], default: str) -> list[str]:
             raise UsageError(f"unknown mode {mode!r} (choose from {', '.join(MODES)})")
     if not modes:
         raise UsageError("empty --modes")
-    return modes
+    return _distinct(modes, "--modes")
+
+
+def _distinct(values: list, flag: str) -> list:
+    """Reject a repeated value: it would write the same grid row twice."""
+    if len(set(values)) != len(values):
+        shown = ", ".join("none" if v is None else str(v) for v in values)
+        raise UsageError(f"{flag} repeats a value ({shown})")
+    return values
 
 
 def _require_path(cfg: RunConfig, key: str) -> Path:
@@ -215,17 +223,20 @@ def _load_conversations(source: Path, key: Optional[Path], lenient: bool = False
         raise DataError(f"corpus path not found: {source}")
     labels = load_key_file(key) if key else None
     if source.is_dir():
-        return load_split(source, labels=labels, lenient=lenient)
-    convs = load_conversations_jsonl(source)
-    if labels:
-        convs = [
-            Conversation(
-                thread=c.thread,
-                replies=c.replies,
-                gold_label=labels.get(c.thread.id, c.gold_label),
-            )
-            for c in convs
-        ]
+        convs = load_split(source, labels=labels, lenient=lenient)
+    else:
+        convs = load_conversations_jsonl(source)
+        if labels:
+            convs = [
+                Conversation(
+                    thread=c.thread,
+                    replies=c.replies,
+                    gold_label=labels.get(c.thread.id, c.gold_label),
+                )
+                for c in convs
+            ]
+    if not convs:
+        raise DataError(f"no conversations found in {source}")
     return convs
 
 

@@ -330,7 +330,10 @@ def load_key_file(path) -> dict[str, str]:
     Accepts both the nested form ({"subtaskbenglish": {id: label}}) and a
     flat {id: label} object.
     """
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise MalformedStructure(f"cannot read key file: {exc}", path=path) from exc
     if not isinstance(obj, dict):
         raise MalformedStructure("key file root is not an object", path=path)
     for key in ("subtaskbenglish", "subtaskb"):
@@ -436,12 +439,20 @@ def save_conversations_jsonl(convs: Iterable[Conversation], path) -> None:
 
 
 def load_conversations_jsonl(path) -> list[Conversation]:
+    """Read the canonical dump; a line that is not a conversation record
+    raises MalformedStructure naming the line."""
     convs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 convs.append(conversation_from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedStructure(
+                    f"line {lineno} is not a conversation record: {exc!r}", path=path
+                ) from exc
     return convs
 
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import logging
 from typing import Mapping, Optional, Sequence, Union
 
-from .backends import ClassifierBackend
+from .backends import ClassifierBackend, predict_all
 from .certainty import CERTAIN, ChannelAssignment, _load_tsv
 from .corpus import Conversation, Post
 from .predictions import CHANNEL_LIE, VeracityPrediction
-from .probs import FALSE, TRUE, decide, self_entropy
+from .probs import FALSE, TRUE, ProbVector, decide, self_entropy
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +37,13 @@ AssignmentsLike = Union[Mapping[str, ChannelAssignment], Mapping[str, str], Sequ
 
 def classify_lie(thread: Post, backend: ClassifierBackend, epsilon: float) -> VeracityPrediction:
     """Score one thread text as true / false / unverified."""
-    p = backend.predict(thread.text_clean)
+    return lie_prediction(thread.id, predict_all(backend, [thread.text_clean])[0], epsilon)
+
+
+def lie_prediction(thread_id: str, p: ProbVector, epsilon: float) -> VeracityPrediction:
+    """The lie channel's verdict from a thread's (true, false) softmax."""
     return VeracityPrediction(
-        thread_id=thread.id,
+        thread_id=thread_id,
         label=decide(p, LIE_CLASSES, epsilon),
         channel=CHANNEL_LIE,
         assignment=None,

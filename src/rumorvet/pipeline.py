@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 from .agreement import (
     LabeledPair,
     STANCE_CLASSES,
+    agreement_prediction,
     build_phase22_training,
-    classify_agreement,
+    score_conversations,
 )
 from .backends import (
     INPUT_PAIR,
@@ -32,6 +33,7 @@ from .backends import (
     ClassifierBackend,
     TrainingRecipe,
     labeled_examples,
+    predict_all,
 )
 from .certainty import (
     CERTAIN,
@@ -39,12 +41,12 @@ from .certainty import (
     UNCERTAIN,
     ChannelAssignment,
     assign_all,
-    classify_certainty,
+    assign_threads,
     train_phase1,
 )
 from .corpus import Conversation, filter_window
 from .errors import ConfigError, UntrainedBackend
-from .lie import LIE_CLASSES, LabeledText, build_phase21_training, classify_lie
+from .lie import LIE_CLASSES, LabeledText, build_phase21_training, lie_prediction
 from .predictions import CHANNEL_AGREEMENT, CHANNEL_LIE, VeracityPrediction
 from .probs import DEFAULT_ENTROPY_EPSILON
 
@@ -138,22 +140,7 @@ def classify(
     thread text is never windowed, so the certainty and lie channels see
     the conversation unchanged.
     """
-    eps = config.entropy_epsilon
-    if config.mode == MODE_SINGLE_LIE:
-        return classify_lie(conv.thread, _require(backends, "lie", config.mode), eps)
-    if config.mode == MODE_SINGLE_AGREEMENT:
-        return classify_agreement(
-            _windowed(conv, config), _require(backends, "agreement", config.mode), eps
-        )
-    assignment = classify_certainty(conv.thread, _require(backends, "phase1", config.mode))
-    channel = _ROUTE[(config.mode, assignment.label)]
-    if channel == CHANNEL_LIE:
-        pred = classify_lie(conv.thread, _require(backends, "lie", config.mode), eps)
-    else:
-        pred = classify_agreement(
-            _windowed(conv, config), _require(backends, "agreement", config.mode), eps
-        )
-    return dataclasses.replace(pred, assignment=assignment)
+    return run_batch([conv], config, backends)[0]
 
 
 def _windowed(conv: Conversation, config: PipelineConfig) -> Conversation:
@@ -165,13 +152,47 @@ def _windowed(conv: Conversation, config: PipelineConfig) -> Conversation:
 def run_batch(
     convs: Sequence[Conversation], config: PipelineConfig, backends: PipelineBackends
 ) -> list[VeracityPrediction]:
-    """One prediction per conversation, in input order.
+    """One prediction per conversation, in input order; classify() on each.
 
-    Conversations are independent and backends predict read-only, so this
-    loop could fan out across workers; kept sequential because the
-    reference backend is CPU-trivial and order restoration is free.
+    Each stage makes one batched backend call for the whole batch: Phase 1
+    over every thread text, the lie channel over the lie-routed threads,
+    the agreement channel over every primary pair of the (windowed)
+    agreement-routed threads. A stage with nothing to score makes no call
+    and needs no backend. Per-thread calls would pay the reference
+    backend's array set-up once per input instead of once per stage.
     """
-    return [classify(conv, config, backends) for conv in convs]
+    convs = list(convs)
+    mode, eps = config.mode, config.entropy_epsilon
+    assignments = [None] * len(convs)
+    if mode == MODE_SINGLE_LIE:
+        channels = [CHANNEL_LIE] * len(convs)
+    elif mode == MODE_SINGLE_AGREEMENT:
+        channels = [CHANNEL_AGREEMENT] * len(convs)
+    else:
+        if convs:
+            phase1 = _require(backends, "phase1", mode)
+            assignments = assign_threads(phase1, [c.thread for c in convs])
+        channels = [_ROUTE[(mode, a.label)] for a in assignments]
+    preds: list[Optional[VeracityPrediction]] = [None] * len(convs)
+
+    lie_idx = [i for i, ch in enumerate(channels) if ch == CHANNEL_LIE]
+    if lie_idx:
+        backend = _require(backends, "lie", mode)
+        probs = predict_all(backend, [convs[i].thread.text_clean for i in lie_idx])
+        for i, p in zip(lie_idx, probs):
+            preds[i] = lie_prediction(convs[i].thread.id, p, eps)
+
+    agreement_idx = [i for i, ch in enumerate(channels) if ch == CHANNEL_AGREEMENT]
+    if agreement_idx:
+        backend = _require(backends, "agreement", mode)
+        windowed = [_windowed(convs[i], config) for i in agreement_idx]
+        for i, scores in zip(agreement_idx, score_conversations(windowed, backend)):
+            preds[i] = agreement_prediction(convs[i].thread.id, scores, eps)
+
+    return [
+        pred if a is None else dataclasses.replace(pred, assignment=a)
+        for pred, a in zip(preds, assignments)
+    ]
 
 
 @dataclass(frozen=True)

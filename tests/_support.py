@@ -7,14 +7,28 @@ package against an implementation that shares none of its code.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
+import zlib
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
-from rumorvet.corpus import Conversation, Post, Reply, clean_text
+from rumorvet.certainty import CERTAINTY_CLASSES, ChannelAssignment
+from rumorvet.corpus import Conversation, Post, Reply, clean_text, filter_window
+from rumorvet.errors import UntrainedBackend
+from rumorvet.predictions import (
+    CHANNEL_AGREEMENT,
+    CHANNEL_LIE,
+    WARN_DEGENERATE_EVIDENCE,
+    WARN_NO_PRIMARY_REPLIES,
+    VeracityPrediction,
+)
+from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector, decide, self_entropy, smooth_labels
 
 BASE_TIME = datetime(2019, 1, 7, 12, 0, tzinfo=timezone.utc)
 
@@ -59,6 +73,176 @@ def metrics_oracle(counts: Sequence[Sequence[int]]):
         "macro_f1": macro[2],
         "per_class": per_class,
     }
+
+
+class OracleBackend:
+    """The per-example hashed bag-of-words classifier, kept as the oracle
+    for ReferenceBackend's array code.
+
+    Features are a dict of bucket -> count per input, logits add
+    count * row in first-occurrence order, and each minibatch step sums
+    its gradients example by example. Its payload() is in model format 1,
+    so save_model() writes the same files ReferenceBackend must write.
+    """
+
+    backend_kind = "reference"
+    _TOKEN_RE = re.compile(r"\w+")
+
+    def __init__(self, classes, input_kind="text", n_buckets=1 << 16, seed=0, step_size=0.5):
+        self.classes = tuple(classes)
+        self.input_kind = input_kind
+        self.n_buckets = int(n_buckets)
+        self.seed = int(seed)
+        self.step_size = float(step_size)
+        self._weights = None
+        self._bias = None
+        self._recipes = []
+
+    def _bucket(self, token):
+        return zlib.crc32(token.encode("utf-8")) % self.n_buckets
+
+    def _feature_counts(self, x):
+        sides = [("", x)] if self.input_kind == "text" else [("a|", x[0]), ("b|", x[1])]
+        counts = {}
+        for prefix, text in sides:
+            for token in self._TOKEN_RE.findall(text.lower()):
+                b = self._bucket(prefix + token)
+                counts[b] = counts.get(b, 0.0) + 1.0
+        return counts
+
+    def _logits(self, counts):
+        z = self._bias.copy()
+        for b, c in counts.items():
+            row = self._weights.get(b)
+            if row is not None:
+                z += c * row
+        return z
+
+    def fit(self, examples, recipe):
+        prepared = [
+            (self._feature_counts(x), np.array(smooth_labels(t, recipe.label_smoothing).values))
+            for x, t in examples
+        ]
+        if self._bias is None:
+            rng = np.random.default_rng(self.seed)
+            self._weights = {}
+            self._bias = rng.normal(0.0, 1e-9, len(self.classes))
+        for _ in range(recipe.epochs):
+            for start in range(0, len(prepared), recipe.batch_size):
+                self._step(prepared[start : start + recipe.batch_size])
+        self._recipes.append({"n_examples": len(examples), "recipe": recipe.to_dict()})
+
+    def _step(self, batch):
+        scale = self.step_size / len(batch)
+        k = len(self.classes)
+        bias_grad = np.zeros(k)
+        weight_grad = {}
+        for counts, target in batch:
+            err = _oracle_softmax(self._logits(counts)) - target
+            bias_grad += err
+            for b, c in counts.items():
+                g = weight_grad.get(b)
+                if g is None:
+                    g = weight_grad[b] = np.zeros(k)
+                g += c * err
+        for b, g in weight_grad.items():
+            row = self._weights.get(b)
+            if row is None:
+                row = self._weights[b] = np.zeros(k)
+            row -= scale * g
+        self._bias -= scale * bias_grad
+
+    def predict(self, x):
+        if self._bias is None or not self._recipes:
+            raise UntrainedBackend("oracle backend has not been fitted")
+        p = _oracle_softmax(self._logits(self._feature_counts(x)))
+        return ProbVector(tuple(float(v) for v in p))
+
+    def payload(self):
+        return {
+            "classes": list(self.classes),
+            "input_kind": self.input_kind,
+            "n_buckets": self.n_buckets,
+            "seed": self.seed,
+            "step_size": self.step_size,
+            "bias": [float(v) for v in self._bias],
+            "weights": {
+                str(b): [float(v) for v in row] for b, row in sorted(self._weights.items())
+            },
+            "recipes": self._recipes,
+        }
+
+    @classmethod
+    def from_payload(cls, payload):
+        backend = cls(
+            payload["classes"],
+            payload["input_kind"],
+            payload["n_buckets"],
+            payload["seed"],
+            payload["step_size"],
+        )
+        backend._bias = np.array([float(v) for v in payload["bias"]])
+        backend._weights = {
+            int(b): np.array([float(v) for v in row]) for b, row in payload["weights"].items()
+        }
+        backend._recipes = list(payload["recipes"])
+        return backend
+
+
+def _oracle_softmax(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def classify_oracle(conv: Conversation, config, backends) -> VeracityPrediction:
+    """One thread through the double-channel rules, one predict() per input."""
+    eps = config.entropy_epsilon
+    assignment = None
+    if config.mode in ("single_lie", "single_agreement"):
+        channel = CHANNEL_LIE if config.mode == "single_lie" else CHANNEL_AGREEMENT
+    else:
+        p = backends.phase1.predict(conv.thread.text_clean)
+        label = CERTAINTY_CLASSES[p.argmax()]
+        assignment = ChannelAssignment(conv.thread.id, label, p)
+        certain = label == "certain"
+        channel = CHANNEL_LIE if certain == (config.mode == "double") else CHANNEL_AGREEMENT
+    if channel == CHANNEL_LIE:
+        p = backends.lie.predict(conv.thread.text_clean)
+        pred = VeracityPrediction(
+            conv.thread.id, decide(p, (TRUE, FALSE), eps), CHANNEL_LIE, None, p, self_entropy(p), 0
+        )
+        return dataclasses.replace(pred, assignment=assignment)
+    if config.reply_window_days is not None:
+        conv = filter_window(conv, config.reply_window_days)
+    stances = [
+        backends.agreement.predict((conv.thread.text_clean, r.post.text_clean))
+        for r in conv.replies
+        if r.is_primary
+    ]
+    agree = math.fsum(s[0] for s in stances)
+    disagree = math.fsum(s[1] for s in stances)
+    if not stances or agree + disagree == 0.0:
+        warning = WARN_DEGENERATE_EVIDENCE if stances else WARN_NO_PRIMARY_REPLIES
+        return VeracityPrediction(
+            conv.thread.id,
+            UNVERIFIED,
+            CHANNEL_AGREEMENT,
+            assignment,
+            ProbVector((0.5, 0.5)),
+            1.0,
+            len(stances),
+            (warning,),
+        )
+    evidence = ProbVector((agree / (agree + disagree), disagree / (agree + disagree)))
+    return VeracityPrediction(
+        conv.thread.id,
+        decide(evidence, (TRUE, FALSE), eps),
+        CHANNEL_AGREEMENT,
+        assignment,
+        evidence,
+        self_entropy(evidence),
+        len(stances),
+    )
 
 
 # -- strategies --------------------------------------------------------------

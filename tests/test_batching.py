@@ -1,0 +1,91 @@
+"""Stage-wise batched scoring against the per-thread oracle path."""
+
+import dataclasses
+from datetime import timedelta
+
+import pytest
+
+from rumorvet.certainty import assign_all, self_label
+from rumorvet.pipeline import MODES, PipelineBackends, PipelineConfig, run_batch
+
+from ._support import OracleBackend, classify_oracle
+
+WINDOWS = (None, 1, 3, 5)
+
+
+def _spread_reply_ages(conv, k):
+    """Reply ages over 0-7 days, so the 1/3/5-day windows keep different replies."""
+    replies = []
+    for j, r in enumerate(conv.replies):
+        age = (k * 7919 + j * 104729) % (7 * 86400)
+        created_at = conv.thread.created_at + timedelta(seconds=age)
+        post = dataclasses.replace(r.post, created_at=created_at)
+        replies.append(dataclasses.replace(r, post=post))
+    replies.sort(key=lambda r: (r.post.created_at, r.post.id))
+    return dataclasses.replace(conv, replies=tuple(replies))
+
+
+@pytest.fixture(scope="module")
+def test_convs(syn_corpus):
+    return [_spread_reply_ages(c, k) for k, c in enumerate(syn_corpus.test)]
+
+
+def _oracles(backends):
+    return PipelineBackends(
+        **{
+            slot: None if b is None else OracleBackend.from_payload(b.payload())
+            for slot, b in vars(backends).items()
+        }
+    )
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("mode", MODES)
+def test_run_batch_equals_per_thread_oracle(trained, test_convs, mode, window):
+    config = PipelineConfig(mode=mode, reply_window_days=window)
+    oracles = _oracles(trained[mode])
+    expected = [classify_oracle(c, config, oracles) for c in test_convs]
+    assert run_batch(test_convs, config, trained[mode]) == expected
+    if mode == "single_agreement" and window == 1:
+        assert any(p.warnings for p in expected)
+
+
+class CountingBackend:
+    """Records each batch call; a per-item predict() call fails the test."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def predict_batch(self, xs):
+        self.batches.append(len(xs))
+        return self.inner.predict_batch(xs)
+
+    def predict(self, x):
+        raise AssertionError("scored one input at a time")
+
+
+@pytest.mark.parametrize("copies", [1, 25])
+@pytest.mark.parametrize("mode", MODES)
+def test_one_backend_call_per_stage(trained, test_convs, mode, copies):
+    convs = test_convs * copies
+    counting = PipelineBackends(
+        **{slot: b and CountingBackend(b) for slot, b in vars(trained[mode]).items()}
+    )
+    preds = run_batch(convs, PipelineConfig(mode=mode, reply_window_days=3), counting)
+    assert len(preds) == len(convs)
+    channels = {p.channel for p in preds}
+    if counting.phase1 is not None:
+        assert counting.phase1.batches == [len(convs)]
+    assert len(counting.lie.batches if counting.lie else []) == ("lie" in channels)
+    if "agreement" in channels:
+        n_pairs = sum(p.n_replies_used for p in preds if p.channel == "agreement")
+        assert counting.agreement.batches == ([n_pairs] if n_pairs else [])
+
+
+def test_router_helpers_batch(trained, test_convs):
+    phase1 = CountingBackend(trained["double"].phase1)
+    assignments = assign_all(phase1, test_convs)
+    labels = self_label(phase1, test_convs)
+    assert phase1.batches == [len(test_convs)] * 2
+    assert [label for _, label in labels] == [assignments[c.thread.id].label for c in test_convs]

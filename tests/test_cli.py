@@ -394,3 +394,43 @@ class TestExitCodes:
         rc = main(["train", "--config", str(cfg), "--phase", "1"])
         assert rc == 2
         assert "hedge_corpus" in capsys.readouterr().err
+
+    def test_malformed_key_file_is_data_error(self, ws, tmp_path, capsys):
+        key = tmp_path / "key.json"
+        key.write_text("{not json", encoding="utf-8")
+        rc = main(["classify", ws["test_dir"], "--config", ws["cfg"], "--key", str(key)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "key.json" in err and "Traceback" not in err
+
+    def test_missing_key_file_is_data_error(self, ws, tmp_path, capsys):
+        rc = main(
+            ["classify", ws["test_dir"], "--config", ws["cfg"], "--key", str(tmp_path / "absent.json")]
+        )
+        assert rc == 2
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_malformed_jsonl_record_is_data_error(self, ws, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"thread": 1}\n', encoding="utf-8")
+        rc = main(["classify", str(bad), "--config", ws["cfg"], "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_empty_corpus_is_data_error(self, ws, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        rc = main(["classify", str(empty), "--config", ws["cfg"], "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        assert "no conversations" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--window-days", "1,1"], ["--window-days", "none,inf"], ["--modes", "double,double"]]
+    )
+    def test_repeated_grid_value_is_usage_error(self, ws, tmp_path, capsys, flags):
+        out = tmp_path / "reports"
+        rc = main(["evaluate", ws["test_dir"], "--config", ws["cfg"], "--out", str(out), *flags])
+        assert rc == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()

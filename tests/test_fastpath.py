@@ -1,0 +1,166 @@
+"""ReferenceBackend's array code against the per-example oracle, bit for bit."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rumorvet import backends as backends_module
+from rumorvet.backends import (
+    INPUT_PAIR,
+    INPUT_TEXT,
+    ReferenceBackend,
+    TrainingRecipe,
+    labeled_examples,
+    load_model,
+    save_model,
+)
+from rumorvet.errors import ModelFormatError
+
+from ._support import OracleBackend
+
+_WORDS = ("storm", "Storm", "bridge", "market", "a1", "x", "hoax", "verified", "no", "yes")
+
+side_texts = st.lists(st.sampled_from(_WORDS + ("!!", "...")), max_size=7).map(" ".join)
+recipes = st.builds(
+    TrainingRecipe,
+    epochs=st.integers(1, 3),
+    batch_size=st.integers(1, 7),
+    learning_rate=st.just(5e-5),
+    label_smoothing=st.sampled_from([0.0, 0.2, 0.3]),
+)
+
+
+def _inputs(kind):
+    return side_texts if kind == INPUT_TEXT else st.tuples(side_texts, side_texts)
+
+
+@st.composite
+def fit_cases(draw):
+    kind = draw(st.sampled_from([INPUT_TEXT, INPUT_PAIR]))
+    classes = draw(st.sampled_from([("yes", "no"), ("agree", "disagree", "none")]))
+    n_buckets = draw(st.sampled_from([8, 1 << 16]))
+    seed = draw(st.integers(0, 3))
+    labeled = st.tuples(_inputs(kind), st.sampled_from(classes))
+    fits = st.tuples(st.lists(labeled, min_size=1, max_size=25), recipes)
+    runs = draw(st.lists(fits, min_size=1, max_size=2))
+    probes = draw(st.lists(_inputs(kind), max_size=12))
+    return kind, classes, n_buckets, seed, runs, probes
+
+
+def _pair(kind, classes, n_buckets, seed):
+    fast = ReferenceBackend(classes, input_kind=kind, n_buckets=n_buckets, seed=seed)
+    oracle = OracleBackend(classes, input_kind=kind, n_buckets=n_buckets, seed=seed)
+    return fast, oracle
+
+
+def _assert_same_predictions(fast, oracle, probes):
+    expected = [oracle.predict(x) for x in probes]
+    assert fast.predict_batch(probes) == expected
+    assert [fast.predict(x) for x in probes] == expected
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fit_cases())
+def test_fit_and_predict_match_oracle(tmp_path_factory, case):
+    kind, classes, n_buckets, seed, runs, probes = case
+    fast, oracle = _pair(kind, classes, n_buckets, seed)
+    for examples, recipe in runs:
+        fast.fit(labeled_examples(examples, classes), recipe)
+        oracle.fit(labeled_examples(examples, classes), recipe)
+    out = tmp_path_factory.mktemp("fit")
+    save_model(fast, out / "fast.json")
+    save_model(oracle, out / "oracle.json")
+    assert (out / "fast.json").read_bytes() == (out / "oracle.json").read_bytes()
+    _assert_same_predictions(fast, oracle, probes + [x for x, _ in runs[0][0]])
+
+
+def test_tiny_bucket_space_collides_across_pair_sides(tmp_path):
+    """With 8 buckets the a| and b| sides share buckets; merging keeps the
+    first occurrence across both sides, as the per-example dict did."""
+    fast, oracle = _pair(INPUT_PAIR, ("agree", "disagree", "none"), 8, 0)
+    examples = [
+        (("storm bridge storm", "bridge market hoax"), "agree"),
+        (("verified yes", "no no hoax storm"), "disagree"),
+        (("", "market"), "none"),
+        (("x a1 x", ""), "agree"),
+    ] * 3
+    recipe = TrainingRecipe(epochs=3, batch_size=5, learning_rate=5e-5, label_smoothing=0.3)
+    fast.fit(labeled_examples(examples, fast.classes), recipe)
+    oracle.fit(labeled_examples(examples, oracle.classes), recipe)
+
+    def distinct_tokens(x):
+        return len(set(x[0].lower().split())) + len(set(x[1].lower().split()))
+
+    assert any(len(oracle._feature_counts(x)) < distinct_tokens(x) for x, _ in examples)
+    assert fast.payload() == oracle.payload()
+    _assert_same_predictions(fast, oracle, [x for x, _ in examples] + [("", "")])
+
+
+def test_batches_past_the_chunk_boundary():
+    chunk = backends_module.PREDICT_CHUNK
+    fast, oracle = _pair(INPUT_PAIR, ("agree", "disagree", "none"), 1 << 16, 1)
+    classes = ("agree", "disagree", "none")
+    examples = [
+        ((f"thread {i // 7} storm", f"reply {i} {_WORDS[i % len(_WORDS)]}"), classes[i % 3])
+        for i in range(chunk + 41)
+    ]
+    recipe = TrainingRecipe(epochs=2, batch_size=32, learning_rate=5e-5, label_smoothing=0.3)
+    fast.fit(labeled_examples(examples, fast.classes), recipe)
+    oracle.fit(labeled_examples(examples, oracle.classes), recipe)
+    assert fast.payload() == oracle.payload()
+    probes = [x for x, _ in examples] * 2 + [("unseen words", "")]
+    _assert_same_predictions(fast, oracle, probes)
+
+
+def test_oracle_written_model_loads_and_scores(tmp_path):
+    oracle = OracleBackend(("yes", "no"), INPUT_TEXT, seed=2)
+    examples = [("confirmed verified report", "yes"), ("hoax hoax fabricated", "no"), ("", "yes")]
+    examples *= 4
+    oracle.fit(labeled_examples(examples, oracle.classes), TrainingRecipe(4, 3, 5e-5, 0.2))
+    path = tmp_path / "model.json"
+    save_model(oracle, path)
+    loaded = load_model(path)
+    _assert_same_predictions(loaded, oracle, ["confirmed hoax", "", "verified verified", "zzz"])
+    save_model(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_continued_training_after_load_matches_oracle(tmp_path):
+    fast, oracle = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
+    first = [("confirmed verified", "yes"), ("hoax story", "no")] * 5
+    second = [("new words entirely", "no"), ("confirmed again", "yes"), ("", "no")]
+    recipe = TrainingRecipe(epochs=2, batch_size=4, learning_rate=5e-5, label_smoothing=0.1)
+    oracle.fit(labeled_examples(first, oracle.classes), recipe)
+    save_model(oracle, tmp_path / "m.json")
+    fast = load_model(tmp_path / "m.json")
+    fast.fit(labeled_examples(second, fast.classes), recipe)
+    oracle.fit(labeled_examples(second, oracle.classes), recipe)
+    assert fast.payload() == oracle.payload()
+    _assert_same_predictions(fast, oracle, ["new confirmed", "hoax words", ""])
+
+
+def test_touched_buckets_are_saved_even_when_zero():
+    """A bucket whose row stays exactly zero is still listed, as before."""
+    fast, oracle = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
+    examples = [("same", "yes"), ("same", "no")]
+    recipe = TrainingRecipe(epochs=1, batch_size=2, learning_rate=5e-5, label_smoothing=0.0)
+    fast.fit(labeled_examples(examples, fast.classes), recipe)
+    oracle.fit(labeled_examples(examples, oracle.classes), recipe)
+    assert fast.payload()["weights"] == oracle.payload()["weights"]
+    assert len(fast.payload()["weights"]) == 1
+
+
+@pytest.mark.parametrize("bad", [{"7": [0.0]}, {"99999": [0.0, 0.0]}])
+def test_malformed_weights_rejected(bad):
+    fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
+    fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
+    payload = fast.payload()
+    payload["weights"] = bad
+    with pytest.raises(ModelFormatError):
+        ReferenceBackend.from_payload(payload)
+
+
+def test_empty_batch():
+    fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
+    fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
+    assert fast.predict_batch([]) == []
