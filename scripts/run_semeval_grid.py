@@ -49,19 +49,20 @@ def main() -> int:
     run(["ingest", args.train_dir, str(train_jsonl), "--key", args.train_key])
     run(["ingest", args.test_dir, str(test_jsonl), "--key", args.test_key])
 
-    common = [
+    # Scoring reads the backend kind from the model files, so the training
+    # inputs and --backend go to train only.
+    common = ["--seed", str(args.seed), "--model-dir", str(work / "models")]
+    if args.config:
+        common = ["--config", args.config, *common]
+    training = [
         "--backend", args.backend,
-        "--seed", str(args.seed),
-        "--model-dir", str(work / "models"),
         "--train-dir", str(train_jsonl),
         "--hedge-corpus", args.hedge_corpus,
         "--deception-corpus", args.deception_corpus,
         "--agreement-corpus", args.agreement_corpus,
     ]
-    if args.config:
-        common = ["--config", args.config, *common]
-    run(["train", "--phase", "all", *common])
-    run(["train", "--phase", "2-1", "--mode", "single_lie", *common])
+    run(["train", "--phase", "all", *common, *training])
+    run(["train", "--phase", "2-1", "--mode", "single_lie", *common, *training])
 
     run(
         [

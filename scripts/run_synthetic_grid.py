@@ -11,7 +11,7 @@ import argparse
 
 from rumorvet.backends import ReferenceBackend
 from rumorvet.evaluation import build_report, render_reports
-from rumorvet.pipeline import MODES, PipelineConfig, TrainingPlan, run_batch, train_pipeline
+from rumorvet.pipeline import MODES, PipelineConfig, TrainingPlan, backend_names, score_grid, train_backends
 from rumorvet.synthetic import SyntheticSpec, make_corpus
 
 
@@ -39,22 +39,26 @@ def main() -> int:
     def factory(classes, input_kind, seed):
         return ReferenceBackend(classes, input_kind=input_kind, seed=seed)
 
-    plan = TrainingPlan(phase1_per_class=args.phase1_per_class)
-    reports = []
-    for mode in MODES:
-        backends = train_pipeline(
-            mode,
-            list(corpus.train),
-            list(corpus.hedge),
-            list(corpus.deception),
-            list(corpus.agreement),
-            factory,
-            plan=plan,
-            seed=args.seed,
+    backends = train_backends(
+        backend_names(MODES),
+        list(corpus.train),
+        list(corpus.hedge),
+        list(corpus.deception),
+        list(corpus.agreement),
+        factory,
+        plan=TrainingPlan(phase1_per_class=args.phase1_per_class),
+        seed=args.seed,
+    )
+    rows = score_grid(list(corpus.test), [(mode, None) for mode in MODES], backends)
+    reports = [
+        build_report(
+            PipelineConfig(mode=row.mode, seed=args.seed),
+            row.predictions,
+            golds,
+            reply_counts=row.reply_counts,
         )
-        config = PipelineConfig(mode=mode, seed=args.seed)
-        preds = run_batch(list(corpus.test), config, backends)
-        reports.append(build_report(config, preds, golds, conversations=list(corpus.test)))
+        for row in rows
+    ]
     print(render_reports(reports), end="")
     return 0
 

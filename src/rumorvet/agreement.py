@@ -71,20 +71,11 @@ class AggregateScore:
 
 
 def score_pairs(conv: Conversation, backend: ClassifierBackend) -> list[StanceScore]:
-    """One stance score per primary reply, in stable reply order."""
-    return score_conversations([conv], backend)[0]
-
-
-def score_conversations(
-    convs: Sequence[Conversation], backend: ClassifierBackend
-) -> list[list[StanceScore]]:
-    """score_pairs() for every conversation, from one batched call over all
-    their primary pairs."""
-    pairs = [primary_pairs(conv) for conv in convs]
-    softmaxes = iter(
-        predict_all(backend, [(p.thread_text, p.reply_text) for ps in pairs for p in ps])
-    )
-    return [[StanceScore(pair=p, softmax=next(softmaxes)) for p in ps] for ps in pairs]
+    """One stance score per primary reply, in stable reply order, from one
+    batched call."""
+    pairs = primary_pairs(conv)
+    softmaxes = predict_all(backend, [(p.thread_text, p.reply_text) for p in pairs])
+    return [StanceScore(pair=p, softmax=s) for p, s in zip(pairs, softmaxes)]
 
 
 def aggregate(scores: Sequence[StanceScore]) -> AggregateScore:
@@ -170,7 +161,7 @@ def build_phase22_training(
         stance = gold_to_stance.get(conv.gold_label)
         if stance is None:
             raise ValueError(f"no stance mapping for gold label {conv.gold_label!r}")
-        for pair in primary_pairs(conv, gold_stance=stance):
+        for pair in primary_pairs(conv):
             finetune.append(((pair.thread_text, pair.reply_text), stance))
     return pretrain, finetune
 

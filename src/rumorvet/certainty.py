@@ -131,27 +131,30 @@ def load_hedge_corpus(path) -> list[LabeledText]:
 
 def _load_tsv(path, valid_labels: tuple[str, ...], n_text_cols: int):
     path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_text_cols + 1:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected {n_text_cols + 1} tab-separated fields, got {len(parts)}"
-                )
-            *texts, label = parts
-            label = label.strip().lower()
-            if label not in valid_labels:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: label {label!r} not in {valid_labels}"
-                )
-            if n_text_cols == 1:
-                out.append((texts[0], label))
-            else:
-                out.append((tuple(texts), label))
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_text_cols + 1:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected {n_text_cols + 1} tab-separated fields, got {len(parts)}"
+            )
+        *texts, label = parts
+        label = label.strip().lower()
+        if label not in valid_labels:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: label {label!r} not in {valid_labels}"
+            )
+        if n_text_cols == 1:
+            out.append((texts[0], label))
+        else:
+            out.append((tuple(texts), label))
     return out
 
 

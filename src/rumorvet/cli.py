@@ -7,26 +7,16 @@ Wiring only; every behavior lives in the library modules. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .agreement import STANCE_CLASSES, build_phase22_training, load_agreement_corpus
-from .backends import (
-    INPUT_PAIR,
-    INPUT_TEXT,
-    ReferenceBackend,
-    labeled_examples,
-    load_model,
-    save_model,
-)
-from .certainty import (
-    CERTAINTY_CLASSES,
-    assign_all,
-    load_hedge_corpus,
-    summarize_assignments,
-    train_phase1,
-)
+from .agreement import load_agreement_corpus
+from .backends import ReferenceBackend, load_model, save_model
+from .certainty import assign_all, load_hedge_corpus, summarize_assignments
 from .config import BACKEND_TRANSFORMER, BACKENDS, RunConfig, load_config
 from .corpus import (
     Conversation,
@@ -38,28 +28,31 @@ from .corpus import (
     save_conversations_jsonl,
 )
 from .errors import ConfigError, DataError, ModelError, UsageError
-from .evaluation import (
-    EvaluationReport,
-    build_report,
-    render_reports,
-    reports_to_json,
-    restrict_to_windowed,
-)
-from .lie import LIE_CLASSES, build_phase21_training, load_deception_corpus
+from .evaluation import EvaluationReport, build_report, render_reports, reports_to_json
+from .lie import load_deception_corpus
 from .manifest import build_manifest, write_manifest
 from .pipeline import (
-    MODE_SINGLE_LIE,
+    MODE_BACKENDS,
     MODES,
-    PipelineBackends,
-    PipelineConfig,
-    required_backends,
-    run_batch,
+    PRETRAIN_CORPUS,
+    backend_name,
+    backend_names,
+    score_grid,
+    train_backend,
 )
 from .predictions import save_predictions_jsonl
 
 PROG = "rumorvet"
 
-_PHASES = ("1", "2-1", "2-2", "all")
+# The backend slot each --phase trains; "all" trains every backend of the mode.
+_PHASE_SLOTS = {"1": "phase1", "2-1": "lie", "2-2": "agreement"}
+_PHASES = (*_PHASE_SLOTS, "all")
+
+_CORPUS_READERS = {
+    "hedge_corpus": load_hedge_corpus,
+    "deception_corpus": load_deception_corpus,
+    "agreement_corpus": load_agreement_corpus,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,12 +65,15 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     p.add_argument("--mode", choices=MODES, default=None, help="routing mode")
-    p.add_argument("--backend", choices=BACKENDS, default=None, help="classifier backend")
     p.add_argument("--seed", type=int, default=None, help="training seed")
     p.add_argument(
         "--epsilon", type=float, default=None, help="unverified entropy threshold offset"
     )
     p.add_argument("--model-dir", type=Path, default=None, help="trained model directory")
+
+
+def _add_training(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", choices=BACKENDS, default=None, help="classifier backend")
     p.add_argument("--train-dir", type=Path, default=None, help="train split directory")
     p.add_argument("--train-key", type=Path, default=None, help="train gold-label key file")
     p.add_argument("--hedge-corpus", type=Path, default=None, help="certainty pretrain corpus")
@@ -85,6 +81,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--agreement-corpus", type=Path, default=None, help="agreement pretrain corpus"
     )
+
+
+def _add_grid(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", type=Path, help="conversation directory or ingested JSONL")
+    p.add_argument("--key", type=Path, default=None, help="gold-label key file")
+    p.add_argument(
+        "--window-days",
+        default=None,
+        help="comma-separated day windows; 'none' is the unwindowed run",
+    )
+    p.add_argument("--micro", action="store_true", help="micro-average precision/recall")
+    p.add_argument("--out", type=Path, default=Path("reports"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one phase's backend (or all for the mode)")
     _add_common(p)
+    _add_training(p)
     p.add_argument("--phase", choices=_PHASES, default="all", help="which backend to train")
 
     p = sub.add_parser("classify", help="predict veracity for a corpus")
@@ -114,32 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")
     _add_common(p)
-    p.add_argument("input", type=Path, help="conversation directory or ingested JSONL")
-    p.add_argument("--key", type=Path, default=None, help="gold-label key file")
+    _add_grid(p)
     p.add_argument(
         "--modes",
         default=None,
         help="comma-separated modes, or 'all' for the full grid (default: config mode)",
     )
-    p.add_argument(
-        "--window-days",
-        default=None,
-        help="comma-separated day windows; 'none' is the unwindowed run",
-    )
-    p.add_argument("--micro", action="store_true", help="micro-average precision/recall")
-    p.add_argument("--out", type=Path, default=Path("reports"))
 
     p = sub.add_parser("ablate", help="the full mode grid (shorthand for evaluate --modes all)")
     _add_common(p)
-    p.add_argument("input", type=Path, help="conversation directory or ingested JSONL")
-    p.add_argument("--key", type=Path, default=None, help="gold-label key file")
-    p.add_argument(
-        "--window-days",
-        default=None,
-        help="comma-separated day windows; 'none' is the unwindowed run",
-    )
-    p.add_argument("--micro", action="store_true", help="micro-average precision/recall")
-    p.add_argument("--out", type=Path, default=Path("reports"))
+    _add_grid(p)
 
     return parser
 
@@ -157,10 +150,18 @@ def _resolve_config(args) -> RunConfig:
         "deception_corpus": getattr(args, "deception_corpus", None),
         "agreement_corpus": getattr(args, "agreement_corpus", None),
     }
-    window = getattr(args, "window_days", None)
-    if window is not None and "," not in str(window):
-        overrides["reply_window_days"] = _parse_window_token(str(window))
     return load_config(getattr(args, "config", None), overrides)
+
+
+def _resolve_windows(args, cfg: RunConfig) -> tuple[RunConfig, list[Optional[int]]]:
+    """The --window-days list (default: the configured window). A single
+    window also becomes the config's, so the manifest records it."""
+    if args.window_days is None:
+        return cfg, [cfg.reply_window_days]
+    windows = _distinct([_parse_window_token(tok) for tok in args.window_days.split(",")], "--window-days")
+    if len(windows) == 1:
+        cfg = dataclasses.replace(cfg, reply_window_days=windows[0])
+    return cfg, windows
 
 
 def _parse_window_token(token: str) -> Optional[int]:
@@ -174,12 +175,6 @@ def _parse_window_token(token: str) -> Optional[int]:
     if value <= 0:
         raise UsageError(f"window days must be positive, got {value}")
     return value
-
-
-def _parse_windows(raw: Optional[str], default: Optional[int]) -> list[Optional[int]]:
-    if raw is None:
-        return [default]
-    return _distinct([_parse_window_token(tok) for tok in str(raw).split(",")], "--window-days")
 
 
 def _parse_modes(raw: Optional[str], default: str) -> list[str]:
@@ -240,11 +235,6 @@ def _load_conversations(source: Path, key: Optional[Path], lenient: bool = False
     return convs
 
 
-def _load_train_split(cfg: RunConfig) -> list[Conversation]:
-    source = _require_path(cfg, "train_dir")
-    return _load_conversations(source, cfg.train_key)
-
-
 def _make_backend(cfg: RunConfig, classes: tuple[str, ...], input_kind: str, seed: int):
     if cfg.backend == BACKEND_TRANSFORMER:
         from .transformer import TransformerBackend
@@ -266,125 +256,70 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _train_phase1(cfg: RunConfig, train_convs: list[Conversation]) -> Path:
-    hedge = load_hedge_corpus(_require_file(cfg, "hedge_corpus"))
-    plan = cfg.training_plan()
-    backend = _make_backend(cfg, CERTAINTY_CLASSES, INPUT_TEXT, cfg.seed)
-    train_phase1(
-        backend,
-        hedge,
-        train_convs,
-        plan.phase1_pretrain,
-        plan.phase1_finetune,
-        plan.phase1_per_class,
-        cfg.seed,
-    )
-    out = cfg.model_path("phase1")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(backend, out)
-    assignments = summarize_assignments(assign_all(backend, train_convs))
-    print(f"phase 1 -> {out} (train split routed {assignments})")
-    _write_train_manifest(cfg, "phase1", {"hedge_corpus": cfg.hedge_corpus}, out)
-    return out
-
-
-def _train_lie(cfg: RunConfig, train_convs: list[Conversation]) -> Path:
-    deception = load_deception_corpus(_require_file(cfg, "deception_corpus"))
-    plan = cfg.training_plan()
-    assignments = None
-    inputs = {"deception_corpus": cfg.deception_corpus}
-    if cfg.mode != MODE_SINGLE_LIE:
-        phase1_path = cfg.model_path("phase1")
-        assignments = assign_all(load_model(phase1_path), train_convs)
-        inputs["phase1_model"] = phase1_path
-    pretrain, finetune = build_phase21_training(deception, train_convs, assignments)
-    backend = _make_backend(cfg, LIE_CLASSES, INPUT_TEXT, cfg.seed + 1)
-    backend.fit(labeled_examples(pretrain, LIE_CLASSES), plan.lie_pretrain)
-    if finetune:
-        backend.fit(labeled_examples(finetune, LIE_CLASSES), plan.lie_finetune)
-    out = cfg.model_path("lie")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(backend, out)
-    print(f"phase 2-1 -> {out} ({len(pretrain)} pretrain, {len(finetune)} fine-tune examples)")
-    _write_train_manifest(cfg, "lie", inputs, out)
-    return out
-
-
-def _train_agreement(cfg: RunConfig, train_convs: list[Conversation]) -> Path:
-    corpus = load_agreement_corpus(_require_file(cfg, "agreement_corpus"))
-    plan = cfg.training_plan()
-    pretrain, finetune = build_phase22_training(corpus, train_convs)
-    backend = _make_backend(cfg, STANCE_CLASSES, INPUT_PAIR, cfg.seed + 2)
-    backend.fit(labeled_examples(pretrain, STANCE_CLASSES), plan.agreement_pretrain)
-    if finetune:
-        backend.fit(labeled_examples(finetune, STANCE_CLASSES), plan.agreement_finetune)
-    out = cfg.model_path("agreement")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(backend, out)
-    print(f"phase 2-2 -> {out} ({len(pretrain)} pretrain, {len(finetune)} fine-tune pairs)")
-    _write_train_manifest(cfg, "agreement", {"agreement_corpus": cfg.agreement_corpus}, out)
-    return out
-
-
-def _write_train_manifest(cfg: RunConfig, slot: str, inputs: dict, model_path: Path) -> None:
-    inputs = dict(inputs)
-    inputs["train_dir"] = cfg.train_dir
-    manifest = build_manifest(
-        command=f"train:{slot}",
-        argv=tuple(sys.argv),
-        config=cfg.to_dict(),
-        inputs=inputs,
-        outputs={"model": model_path},
-    )
-    write_manifest(manifest, model_path.with_suffix(".manifest.json"))
-
-
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    train_convs = _load_train_split(cfg)
-    phases = []
-    if args.phase in ("1", "all"):
-        phases.append("phase1")
-    if args.phase in ("2-1", "all"):
-        phases.append("lie")
-    if args.phase in ("2-2", "all"):
-        phases.append("agreement")
+    train_convs = _load_conversations(_require_path(cfg, "train_dir"), cfg.train_key)
     if args.phase == "all":
-        needed = required_backends(cfg.mode)
-        phases = [p for p in phases if p in needed]
-    for phase in phases:
-        if phase == "phase1":
-            _train_phase1(cfg, train_convs)
-        elif phase == "lie":
-            _train_lie(cfg, train_convs)
-        else:
-            _train_agreement(cfg, train_convs)
+        names = backend_names([cfg.mode])
+    else:
+        names = [backend_name(cfg.mode, _PHASE_SLOTS[args.phase])]
+    phase1 = None  # the routed lie backend's router: trained just now, or from disk
+    for name in names:
+        corpus_key = PRETRAIN_CORPUS[name]
+        corpus = _CORPUS_READERS[corpus_key](_require_file(cfg, corpus_key))
+        inputs = {corpus_key: getattr(cfg, corpus_key)}
+        if name == "lie":
+            inputs["phase1_model"] = cfg.model_path("phase1")
+            if phase1 is None:
+                phase1 = load_model(inputs["phase1_model"])
+        backend = train_backend(
+            name,
+            train_convs,
+            corpus,
+            functools.partial(_make_backend, cfg),
+            cfg.training_plan(),
+            cfg.seed,
+            phase1,
+        )
+        out = cfg.model_path(name)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_model(backend, out)
+        note = ""
+        if name == "phase1":
+            phase1 = backend
+            note = f" (train split routed {summarize_assignments(assign_all(backend, train_convs))})"
+        print(f"{name} -> {out}{note}")
+        manifest = build_manifest(
+            command=f"train:{name}",
+            argv=tuple(sys.argv),
+            config=cfg.to_dict(),
+            inputs={**inputs, "train_dir": cfg.train_dir},
+            outputs={"model": out},
+        )
+        write_manifest(manifest, out.with_suffix(".manifest.json"))
     return 0
 
 
-def _load_backends(cfg: RunConfig, mode: str, cache: dict) -> PipelineBackends:
-    slots = {}
-    for slot in required_backends(mode):
-        path = cfg.model_path(slot, mode)
-        if path not in cache:
-            cache[path] = load_model(path)
-        slots[slot] = cache[path]
-    return PipelineBackends(**slots)
+def _load_backends(cfg: RunConfig, modes: list[str]) -> dict:
+    return {name: load_model(cfg.model_path(name)) for name in backend_names(modes)}
+
+
+def _model_paths(cfg: RunConfig, mode: str) -> dict[str, Path]:
+    return {slot: cfg.model_path(name) for slot, name in MODE_BACKENDS[mode].items()}
 
 
 def cmd_classify(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, windows = _resolve_windows(args, _resolve_config(args))
+    if len(windows) > 1:
+        raise UsageError(f"classify takes one --window-days value, got {args.window_days!r}")
     convs = _load_conversations(args.input, args.key)
-    backends = _load_backends(cfg, cfg.mode, {})
-    kept = restrict_to_windowed(convs, cfg.reply_window_days)
-    pconfig = cfg.pipeline_config()
-    preds = run_batch(kept, pconfig, backends)
+    backends = _load_backends(cfg, [cfg.mode])
+    [row] = score_grid(convs, [(cfg.mode, windows[0])], backends, cfg.entropy_epsilon)
+    preds = row.predictions
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_predictions_jsonl(preds, args.out)
-    counts: dict[str, int] = {}
-    for p in preds:
-        counts[p.label] = counts.get(p.label, 0) + 1
-    dropped = len(convs) - len(kept)
+    counts = dict(Counter(p.label for p in preds))
+    dropped = len(convs) - len(preds)
     note = f" ({dropped} threads outside the window)" if dropped else ""
     print(f"{len(preds)} predictions -> {args.out} {counts}{note}")
     manifest = build_manifest(
@@ -392,7 +327,7 @@ def cmd_classify(args) -> int:
         argv=tuple(sys.argv),
         config=cfg.to_dict(),
         inputs={"corpus": args.input},
-        models={s: cfg.model_path(s, cfg.mode) for s in required_backends(cfg.mode)},
+        models=_model_paths(cfg, cfg.mode),
         outputs={"predictions": args.out},
     )
     write_manifest(manifest, args.out.with_suffix(".manifest.json"))
@@ -404,44 +339,32 @@ def _slug(mode: str, window: Optional[int]) -> str:
 
 
 def _evaluate(args, modes: list[str]) -> int:
-    cfg = _resolve_config(args)
+    cfg, windows = _resolve_windows(args, _resolve_config(args))
     convs = _load_conversations(args.input, args.key)
     golds_all = gold_labels(convs)
-    windows = _parse_windows(getattr(args, "window_days", None), cfg.reply_window_days)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    average = "micro" if getattr(args, "micro", False) else "macro"
+    average = "micro" if args.micro else "macro"
 
-    cache: dict = {}
+    scored = [c for c in convs if c.gold_label is not None]
+    rows = [(mode, window) for mode in modes for window in windows]
+    grid = score_grid(scored or convs, rows, _load_backends(cfg, modes), cfg.entropy_epsilon)
     reports: list[EvaluationReport] = []
-    model_paths: dict[str, Path] = {}
     prediction_files: dict[str, Path] = {}
-    for mode in modes:
-        backends = _load_backends(cfg, mode, cache)
-        for slot in required_backends(mode):
-            model_paths[f"{mode}:{slot}"] = cfg.model_path(slot, mode)
-        for window in windows:
-            scored = [c for c in convs if c.gold_label is not None]
-            target = scored if scored else convs
-            kept = restrict_to_windowed(target, window)
-            pconfig = PipelineConfig(
-                mode=mode,
-                entropy_epsilon=cfg.entropy_epsilon,
-                reply_window_days=window,
-                seed=cfg.seed,
-                phase1_model=cfg.model_path("phase1", mode),
-                lie_model=cfg.model_path("lie", mode),
-                agreement_model=cfg.model_path("agreement", mode),
-            )
-            preds = run_batch(kept, pconfig, backends)
-            pred_path = out_dir / f"predictions-{_slug(mode, window)}.jsonl"
-            save_predictions_jsonl(preds, pred_path)
-            prediction_files[_slug(mode, window)] = pred_path
-            if not scored:
-                print(f"{_slug(mode, window)}: no gold labels; wrote predictions only")
-                continue
-            golds = {c.thread.id: golds_all[c.thread.id] for c in kept}
-            reports.append(build_report(pconfig, preds, golds, conversations=kept, average=average))
+    for row in grid:
+        slug = _slug(row.mode, row.window_days)
+        pred_path = out_dir / f"predictions-{slug}.jsonl"
+        save_predictions_jsonl(row.predictions, pred_path)
+        prediction_files[slug] = pred_path
+        if not scored:
+            print(f"{slug}: no gold labels; wrote predictions only")
+            continue
+        config = dataclasses.replace(cfg, mode=row.mode, reply_window_days=row.window_days)
+        golds = {p.thread_id: golds_all[p.thread_id] for p in row.predictions}
+        report = build_report(
+            config.pipeline_config(), row.predictions, golds, average=average, reply_counts=row.reply_counts
+        )
+        reports.append(report)
 
     outputs: dict[str, Path] = dict(prediction_files)
     if reports:
@@ -456,7 +379,9 @@ def _evaluate(args, modes: list[str]) -> int:
         argv=tuple(sys.argv),
         config=cfg.to_dict(),
         inputs={"corpus": args.input, "key": args.key},
-        models=model_paths,
+        models={
+            f"{mode}:{slot}": path for mode in modes for slot, path in _model_paths(cfg, mode).items()
+        },
         outputs=outputs,
     )
     write_manifest(manifest, out_dir / "manifest.json")
@@ -464,8 +389,7 @@ def _evaluate(args, modes: list[str]) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg_mode = _resolve_config(args).mode
-    return _evaluate(args, _parse_modes(getattr(args, "modes", None), cfg_mode))
+    return _evaluate(args, _parse_modes(args.modes, _resolve_config(args).mode))
 
 
 def cmd_ablate(args) -> int:

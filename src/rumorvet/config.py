@@ -8,20 +8,17 @@ manifest. Precedence is defaults < config file < CLI flags.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .backends import TrainingRecipe
 from .errors import ConfigError
-from .pipeline import MODES, PipelineConfig, TrainingPlan
+from .pipeline import BACKEND_NAMES, MODES, PipelineConfig, TrainingPlan, backend_name
 
 BACKEND_REFERENCE = "reference"
 BACKEND_TRANSFORMER = "transformer"
 BACKENDS = (BACKEND_REFERENCE, BACKEND_TRANSFORMER)
-
-CACHE_ENV = "RUMORVET_CACHE"
 
 _STAGES = (
     "phase1_pretrain",
@@ -44,9 +41,7 @@ class RunConfig:
     seed: int = 0
 
     train_dir: Optional[Path] = None
-    test_dir: Optional[Path] = None
     train_key: Optional[Path] = None
-    test_key: Optional[Path] = None
     hedge_corpus: Optional[Path] = None
     deception_corpus: Optional[Path] = None
     agreement_corpus: Optional[Path] = None
@@ -101,40 +96,26 @@ class RunConfig:
         )
 
     def training_plan(self) -> TrainingPlan:
-        return TrainingPlan(
-            phase1_pretrain=self.recipe("phase1_pretrain"),
-            phase1_finetune=self.recipe("phase1_finetune"),
-            lie_pretrain=self.recipe("lie_pretrain"),
-            lie_finetune=self.recipe("lie_finetune"),
-            agreement_pretrain=self.recipe("agreement_pretrain"),
-            agreement_finetune=self.recipe("agreement_finetune"),
-            phase1_per_class=self.phase1_per_class,
-        )
+        recipes = {stage: self.recipe(stage) for stage in _STAGES}
+        return TrainingPlan(**recipes, phase1_per_class=self.phase1_per_class)
 
-    def model_path(self, slot: str, mode: Optional[str] = None) -> Path:
-        """Where a trained backend lives. The lie channel has two trained
-        variants (routed fine-tune vs the single-channel all-observations
-        retrain), so its filename depends on the mode."""
-        mode = mode or self.mode
-        if slot == "phase1":
-            return self.model_dir / "phase1.json"
-        if slot == "lie":
-            name = "lie_unrouted.json" if mode == "single_lie" else "lie.json"
-            return self.model_dir / name
-        if slot == "agreement":
-            return self.model_dir / "agreement.json"
-        raise ConfigError(f"unknown model slot {slot!r}")
+    def model_path(self, name: str) -> Path:
+        """Where the named backend (see pipeline.MODE_BACKENDS) lives."""
+        if name not in BACKEND_NAMES:
+            raise ConfigError(f"unknown backend name {name!r}")
+        return self.model_dir / f"{name}.json"
 
-    def pipeline_config(self, mode: Optional[str] = None) -> PipelineConfig:
-        mode = mode or self.mode
+    def pipeline_config(self) -> PipelineConfig:
+        """The config's mode and window, with the model each slot reads."""
+        paths = {s: self.model_path(backend_name(self.mode, s)) for s in ("phase1", "lie", "agreement")}
         return PipelineConfig(
-            mode=mode,
+            mode=self.mode,
             entropy_epsilon=self.entropy_epsilon,
             reply_window_days=self.reply_window_days,
             seed=self.seed,
-            phase1_model=self.model_path("phase1", mode),
-            lie_model=self.model_path("lie", mode),
-            agreement_model=self.model_path("agreement", mode),
+            phase1_model=paths["phase1"],
+            lie_model=paths["lie"],
+            agreement_model=paths["agreement"],
         )
 
     def to_dict(self) -> dict:
@@ -148,9 +129,7 @@ class RunConfig:
 _PATH_KEYS = frozenset(
     {
         "train_dir",
-        "test_dir",
         "train_key",
-        "test_key",
         "hedge_corpus",
         "deception_corpus",
         "agreement_corpus",
@@ -195,9 +174,6 @@ def _field_types() -> dict[str, tuple[type, bool]]:
     return types
 
 
-_FIELD_TYPES = None
-
-
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Flat key=value lines; # starts a comment; blanks skipped."""
     out: dict[str, str] = {}
@@ -220,27 +196,29 @@ def load_config(
 ) -> RunConfig:
     """Defaults, then the config file, then overrides (already-typed
     values from CLI flags; strings are coerced like file values)."""
-    global _FIELD_TYPES
-    if _FIELD_TYPES is None:
-        _FIELD_TYPES = _field_types()
+    types = _field_types()
     values: dict[str, object] = {}
     if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        raw = parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+        raw = parse_config_text(text, source=str(path))
         for key, value in raw.items():
-            if key not in _FIELD_TYPES:
+            if key not in types:
                 raise ConfigError(f"{path}: unknown config key {key!r}")
-            kind, optional = _FIELD_TYPES[key]
+            kind, optional = types[key]
             values[key] = _coerce(key, value, kind, optional)
     for key, value in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
         if value is None:
             continue
         if isinstance(value, str):
-            kind, optional = _FIELD_TYPES[key]
+            kind, optional = types[key]
             value = _coerce(key, value, kind, optional)
         values[key] = value
     return RunConfig(**values)
@@ -256,11 +234,3 @@ def default_config_text() -> str:
             v = "none"
         lines.append(f"{f.name} = {v}")
     return "\n".join(lines) + "\n"
-
-
-def cache_dir() -> Path:
-    """Scratch directory, overridable via the cache env var."""
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "rumorvet"

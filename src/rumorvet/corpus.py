@@ -71,7 +71,6 @@ class ThreadReplyPair:
     thread_text: str
     reply_text: str
     thread_id: str
-    gold_stance: str | None = None
 
 
 def clean_text(raw: str) -> str:
@@ -227,10 +226,7 @@ def load_conversation(
     structure_path = d / "structure.json"
     if not structure_path.is_file():
         raise MalformedStructure("missing structure.json", path=d)
-    try:
-        structure = json.loads(structure_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedStructure(f"structure.json is not valid JSON: {exc}", path=structure_path)
+    structure = _read_json(structure_path)
     if not isinstance(structure, dict):
         raise MalformedStructure("structure.json root is not an object", path=structure_path)
 
@@ -296,9 +292,10 @@ def load_conversation(
 
 
 def _read_json(path: Path) -> dict:
+    """Parse one JSON file; bytes that are not UTF-8 JSON are a MalformedStructure."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise MalformedStructure(f"invalid JSON: {exc}", path=path)
 
 
@@ -343,19 +340,17 @@ def load_key_file(path) -> dict[str, str]:
     return {str(k): str(v).lower() for k, v in obj.items() if not isinstance(v, dict)}
 
 
-def primary_pairs(conv: Conversation, gold_stance: str | None = None) -> list[ThreadReplyPair]:
+def primary_pairs(conv: Conversation) -> list[ThreadReplyPair]:
     """One cleaned (thread, reply) pair per primary reply, in reply order.
 
     Non-primary replies produce nothing; a conversation without primary
-    replies yields an empty list. `gold_stance`, when given, is attached to
-    every pair (pairs inherit a single thread-level label).
+    replies yields an empty list.
     """
     return [
         ThreadReplyPair(
             thread_text=conv.thread.text_clean,
             reply_text=r.post.text_clean,
             thread_id=conv.thread.id,
-            gold_stance=gold_stance,
         )
         for r in conv.replies
         if r.is_primary
@@ -442,17 +437,19 @@ def load_conversations_jsonl(path) -> list[Conversation]:
     """Read the canonical dump; a line that is not a conversation record
     raises MalformedStructure naming the line."""
     convs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                convs.append(conversation_from_dict(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedStructure(
-                    f"line {lineno} is not a conversation record: {exc!r}", path=path
-                ) from exc
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    convs.append(conversation_from_dict(json.loads(line)))
+    except UnicodeDecodeError as exc:
+        raise MalformedStructure(f"not UTF-8 text after line {lineno}: {exc}", path=path) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedStructure(
+            f"line {lineno} is not a conversation record: {exc!r}", path=path
+        ) from exc
     return convs
 
 

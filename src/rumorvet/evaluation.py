@@ -214,7 +214,10 @@ def restrict_to_windowed(
 
 def average_primary_replies(convs: Sequence[Conversation]) -> Optional[float]:
     """Mean primary-reply count over conversations that have any."""
-    counts = [len(c.primary_replies()) for c in convs]
+    return _mean_nonzero([len(c.primary_replies()) for c in convs])
+
+
+def _mean_nonzero(counts: Sequence[int]) -> Optional[float]:
     counts = [n for n in counts if n > 0]
     if not counts:
         return None
@@ -227,12 +230,16 @@ def build_report(
     golds: Mapping[str, str],
     conversations: Optional[Sequence[Conversation]] = None,
     average: str = "macro",
+    reply_counts: Optional[Sequence[int]] = None,
 ) -> EvaluationReport:
-    """Confusion plus metrics for one run; conversations (windowed the
-    same way as the run) supply the Avg # column."""
+    """Confusion plus metrics for one run. The Avg # column comes from
+    conversations (windowed the same way as the run) or, for a scored
+    grid row, from its per-thread primary-reply counts."""
     m = confusion(preds, golds)
     s = metrics(m, average=average)
-    avg_replies = None if conversations is None else average_primary_replies(conversations)
+    if conversations is not None:
+        reply_counts = [len(c.primary_replies()) for c in conversations]
+    avg_replies = None if reply_counts is None else _mean_nonzero(reply_counts)
     return EvaluationReport(
         config=config,
         matrix=m,

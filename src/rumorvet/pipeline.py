@@ -16,16 +16,17 @@ channel modules.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .agreement import (
-    LabeledPair,
     STANCE_CLASSES,
+    LabeledPair,
+    StanceScore,
     agreement_prediction,
     build_phase22_training,
-    score_conversations,
 )
 from .backends import (
     INPUT_PAIR,
@@ -39,12 +40,11 @@ from .certainty import (
     CERTAIN,
     CERTAINTY_CLASSES,
     UNCERTAIN,
-    ChannelAssignment,
     assign_all,
     assign_threads,
     train_phase1,
 )
-from .corpus import Conversation, filter_window
+from .corpus import SECONDS_PER_DAY, Conversation, primary_pairs
 from .errors import ConfigError, UntrainedBackend
 from .lie import LIE_CLASSES, LabeledText, build_phase21_training, lie_prediction
 from .predictions import CHANNEL_AGREEMENT, CHANNEL_LIE, VeracityPrediction
@@ -56,12 +56,14 @@ MODE_SINGLE_AGREEMENT = "single_agreement"
 MODE_INVERSE = "inverse"
 MODES = (MODE_DOUBLE, MODE_SINGLE_LIE, MODE_SINGLE_AGREEMENT, MODE_INVERSE)
 
-# Channel per (mode, certainty label). Single modes ignore certainty.
+# Channel per (mode, certainty label); single modes have no label.
 _ROUTE = {
     (MODE_DOUBLE, CERTAIN): CHANNEL_LIE,
     (MODE_DOUBLE, UNCERTAIN): CHANNEL_AGREEMENT,
     (MODE_INVERSE, CERTAIN): CHANNEL_AGREEMENT,
     (MODE_INVERSE, UNCERTAIN): CHANNEL_LIE,
+    (MODE_SINGLE_LIE, None): CHANNEL_LIE,
+    (MODE_SINGLE_AGREEMENT, None): CHANNEL_AGREEMENT,
 }
 
 
@@ -104,6 +106,48 @@ def _path_str(p: Optional[Path]) -> Optional[str]:
     return None if p is None else str(p)
 
 
+# The named backends each mode scores with, keyed by the slot each fills.
+# A name is one trained model; modes that share a name share the model.
+MODE_BACKENDS = {
+    MODE_DOUBLE: {"phase1": "phase1", "lie": "lie", "agreement": "agreement"},
+    MODE_SINGLE_LIE: {"lie": "lie_unrouted"},
+    MODE_SINGLE_AGREEMENT: {"agreement": "agreement"},
+    MODE_INVERSE: {"phase1": "phase1", "lie": "lie", "agreement": "agreement"},
+}
+# The pretrain corpus (its config key) of every backend name, in training
+# order: the routed lie backend needs phase1.
+PRETRAIN_CORPUS = {
+    "phase1": "hedge_corpus",
+    "lie": "deception_corpus",
+    "lie_unrouted": "deception_corpus",
+    "agreement": "agreement_corpus",
+}
+BACKEND_NAMES = tuple(PRETRAIN_CORPUS)
+
+
+def _mode_backends(mode: str) -> dict[str, str]:
+    if mode not in MODE_BACKENDS:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    return MODE_BACKENDS[mode]
+
+
+def required_backends(mode: str) -> tuple[str, ...]:
+    """Backend slots a mode touches, in training order."""
+    return tuple(_mode_backends(mode))
+
+
+def backend_name(mode: str, slot: str) -> str:
+    """The named backend that fills a slot in a mode; a slot the mode does
+    not use names the routed (double-mode) backend."""
+    return _mode_backends(mode).get(slot, slot)
+
+
+def backend_names(modes: Sequence[str]) -> list[str]:
+    """The distinct backends a set of modes uses, in training order."""
+    used = {name for mode in modes for name in _mode_backends(mode).values()}
+    return [name for name in BACKEND_NAMES if name in used]
+
+
 @dataclass(frozen=True)
 class PipelineBackends:
     """Trained backends for whichever channels the mode needs."""
@@ -112,23 +156,10 @@ class PipelineBackends:
     lie: Optional[ClassifierBackend] = None
     agreement: Optional[ClassifierBackend] = None
 
-
-def required_backends(mode: str) -> tuple[str, ...]:
-    """Backend slots a mode touches, in training order."""
-    if mode in (MODE_DOUBLE, MODE_INVERSE):
-        return ("phase1", "lie", "agreement")
-    if mode == MODE_SINGLE_LIE:
-        return ("lie",)
-    if mode == MODE_SINGLE_AGREEMENT:
-        return ("agreement",)
-    raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _require(backends: PipelineBackends, slot: str, mode: str) -> ClassifierBackend:
-    backend = getattr(backends, slot)
-    if backend is None:
-        raise UntrainedBackend(f"mode {mode} needs a trained {slot} backend")
-    return backend
+    @classmethod
+    def for_mode(cls, mode: str, named: Mapping[str, ClassifierBackend]) -> "PipelineBackends":
+        """A mode's slots, filled from backends keyed by name."""
+        return cls(**{slot: named[name] for slot, name in _mode_backends(mode).items()})
 
 
 def classify(
@@ -143,97 +174,194 @@ def classify(
     return run_batch([conv], config, backends)[0]
 
 
-def _windowed(conv: Conversation, config: PipelineConfig) -> Conversation:
-    if config.reply_window_days is None:
-        return conv
-    return filter_window(conv, config.reply_window_days)
-
-
 def run_batch(
     convs: Sequence[Conversation], config: PipelineConfig, backends: PipelineBackends
 ) -> list[VeracityPrediction]:
     """One prediction per conversation, in input order; classify() on each.
 
-    Each stage makes one batched backend call for the whole batch: Phase 1
-    over every thread text, the lie channel over the lie-routed threads,
-    the agreement channel over every primary pair of the (windowed)
-    agreement-routed threads. A stage with nothing to score makes no call
-    and needs no backend. Per-thread calls would pay the reference
-    backend's array set-up once per input instead of once per stage.
+    This is score_grid() for the one row (config.mode, config.reply_window_days)
+    with every conversation kept: a thread left with no primary reply in
+    the window still gets a prediction (its agreement channel abstains).
+    """
+    named = {name: getattr(backends, slot) for slot, name in _mode_backends(config.mode).items()}
+    row = (config.mode, config.reply_window_days)
+    return next(score_grid(convs, [row], named, config.entropy_epsilon, keep_all=True)).predictions
+
+
+@dataclass(frozen=True)
+class GridRow:
+    """One (mode, reply window) row scored over a corpus."""
+
+    mode: str
+    window_days: Optional[int]
+    predictions: list[VeracityPrediction]
+    # Primary replies inside the window, per predicted thread (the Avg # column).
+    reply_counts: list[int]
+
+
+def score_grid(
+    convs: Sequence[Conversation],
+    rows: Sequence[tuple[str, Optional[int]]],
+    backends: Mapping[str, Optional[ClassifierBackend]],
+    epsilon: float = DEFAULT_ENTROPY_EPSILON,
+    keep_all: bool = False,
+) -> Iterator[GridRow]:
+    """Score (mode, window) rows over one corpus, calling each distinct
+    backend at most once for all of them. Rows come one at a time, in
+    order, so a caller can write each out before the next is built.
+
+    backends maps names (see MODE_BACKENDS) to trained backends. A
+    windowed row keeps only the threads with at least one primary reply
+    posted within window_days * 86400 seconds of the thread (inclusive);
+    keep_all keeps every thread. Phase 1 scores the threads some routed
+    row keeps, each lie backend the threads some row routes to it, and the
+    agreement backend the primary pairs of the threads some row routes to
+    it, within the widest window of those rows. Each row is then a pure
+    function of those scores: route, mask replies by age, aggregate,
+    decide. A stage with nothing to score needs no backend.
     """
     convs = list(convs)
-    mode, eps = config.mode, config.entropy_epsilon
-    assignments = [None] * len(convs)
-    if mode == MODE_SINGLE_LIE:
-        channels = [CHANNEL_LIE] * len(convs)
-    elif mode == MODE_SINGLE_AGREEMENT:
-        channels = [CHANNEL_AGREEMENT] * len(convs)
-    else:
-        if convs:
-            phase1 = _require(backends, "phase1", mode)
-            assignments = assign_threads(phase1, [c.thread for c in convs])
-        channels = [_ROUTE[(mode, a.label)] for a in assignments]
-    preds: list[Optional[VeracityPrediction]] = [None] * len(convs)
-
-    lie_idx = [i for i, ch in enumerate(channels) if ch == CHANNEL_LIE]
-    if lie_idx:
-        backend = _require(backends, "lie", mode)
-        probs = predict_all(backend, [convs[i].thread.text_clean for i in lie_idx])
-        for i, p in zip(lie_idx, probs):
-            preds[i] = lie_prediction(convs[i].thread.id, p, eps)
-
-    agreement_idx = [i for i, ch in enumerate(channels) if ch == CHANNEL_AGREEMENT]
-    if agreement_idx:
-        backend = _require(backends, "agreement", mode)
-        windowed = [_windowed(convs[i], config) for i in agreement_idx]
-        for i, scores in zip(agreement_idx, score_conversations(windowed, backend)):
-            preds[i] = agreement_prediction(convs[i].thread.id, scores, eps)
-
-    return [
-        pred if a is None else dataclasses.replace(pred, assignment=a)
-        for pred, a in zip(preds, assignments)
+    limits = [math.inf if days is None else days * SECONDS_PER_DAY for _, days in rows]
+    # Primary-reply ages in seconds; only windowed rows read them.
+    windowed = any(days is not None for _, days in rows)
+    ages = [
+        [
+            (r.post.created_at - c.thread.created_at).total_seconds() if windowed else 0.0
+            for r in c.replies
+            if r.is_primary
+        ]
+        for c in convs
     ]
+    kept = [
+        [i for i, a in enumerate(ages) if keep_all or limit == math.inf or any(x <= limit for x in a)]
+        for limit in limits
+    ]
+    wanted: dict[str, dict[int, str]] = {}  # name -> {thread index: a mode scoring it}
+
+    def score(name: str, inputs, call=predict_all) -> dict[int, list]:
+        """One batched call of a named backend over the inputs of the threads that want it."""
+        idx = sorted(wanted.get(name, ()))
+        if not idx:
+            return {}
+        if backends.get(name) is None:
+            raise UntrainedBackend(f"mode {wanted[name][idx[0]]} needs a trained {name} backend")
+        per_thread = [inputs(i) for i in idx]
+        results = iter(call(backends[name], [x for xs in per_thread for x in xs]))
+        return {i: [next(results) for _ in xs] for i, xs in zip(idx, per_thread)}
+
+    for (mode, _), idx in zip(rows, kept):
+        if "phase1" in _mode_backends(mode):
+            wanted.setdefault("phase1", {}).update(dict.fromkeys(idx, mode))
+    routing = score("phase1", lambda i: [convs[i].thread], assign_threads)
+    assignments = {i: a for i, [a] in routing.items()}
+
+    routes = []  # per row: (thread index, assignment or None, channel)
+    widest = -math.inf  # the widest window of the rows that use the agreement channel
+    for (mode, _), limit, idx in zip(rows, limits, kept):
+        names = _mode_backends(mode)
+        route = []
+        for i in idx:
+            a = assignments[i] if "phase1" in names else None
+            channel = _ROUTE[(mode, a and a.label)]
+            route.append((i, a, channel))
+            wanted.setdefault(names[channel], {})[i] = mode  # slots are named after channels
+            if channel == CHANNEL_AGREEMENT:
+                widest = max(widest, limit)
+        routes.append(route)
+    pairs = {
+        i: [(p, age) for p, age in zip(primary_pairs(convs[i]), ages[i]) if age <= widest]
+        for i in wanted.get("agreement", ())
+    }
+
+    lie = {name: score(name, lambda i: [convs[i].thread.text_clean]) for name in ("lie", "lie_unrouted")}
+    stances = {
+        i: [StanceScore(p, softmax) for (p, _), softmax in zip(pairs[i], softmaxes)]
+        for i, softmaxes in score(
+            "agreement", lambda i: [(p.thread_text, p.reply_text) for p, _ in pairs[i]]
+        ).items()
+    }
+
+    for (mode, days), limit, route in zip(rows, limits, routes):
+        names = _mode_backends(mode)
+        preds, counts = [], []
+        for i, a, channel in route:
+            tid = convs[i].thread.id
+            if channel == CHANNEL_LIE:
+                pred = lie_prediction(tid, lie[names[channel]][i][0], epsilon)
+            elif days is None:
+                pred = agreement_prediction(tid, stances[i], epsilon)
+            else:
+                scores = [s for s, (_, age) in zip(stances[i], pairs[i]) if age <= limit]
+                pred = agreement_prediction(tid, scores, epsilon)
+            preds.append(pred if a is None else dataclasses.replace(pred, assignment=a))
+            counts.append(len(ages[i]) if days is None else sum(age <= limit for age in ages[i]))
+        yield GridRow(mode, days, preds, counts)
 
 
 @dataclass(frozen=True)
 class TrainingPlan:
     """Recipes and corpora knobs for all training stages of one run."""
 
-    phase1_pretrain: TrainingRecipe = field(
-        default_factory=lambda: TrainingRecipe(
-            epochs=5, batch_size=32, learning_rate=5e-5, label_smoothing=0.2
-        )
-    )
-    phase1_finetune: TrainingRecipe = field(
-        default_factory=lambda: TrainingRecipe(
-            epochs=5, batch_size=32, learning_rate=5e-5, label_smoothing=0.2
-        )
-    )
-    lie_pretrain: TrainingRecipe = field(
-        default_factory=lambda: TrainingRecipe(
-            epochs=5, batch_size=32, learning_rate=5e-5, label_smoothing=0.3
-        )
-    )
-    lie_finetune: TrainingRecipe = field(
-        default_factory=lambda: TrainingRecipe(
-            epochs=1, batch_size=32, learning_rate=5e-5, label_smoothing=0.3
-        )
-    )
-    agreement_pretrain: TrainingRecipe = field(
-        default_factory=lambda: TrainingRecipe(
-            epochs=5, batch_size=32, learning_rate=5e-5, label_smoothing=0.3
-        )
-    )
-    agreement_finetune: TrainingRecipe = field(
-        default_factory=lambda: TrainingRecipe(
-            epochs=1, batch_size=32, learning_rate=5e-5, label_smoothing=0.3
-        )
-    )
+    phase1_pretrain: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.2)
+    phase1_finetune: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.2)
+    lie_pretrain: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.3)
+    lie_finetune: TrainingRecipe = TrainingRecipe(1, 32, 5e-5, 0.3)
+    agreement_pretrain: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.3)
+    agreement_finetune: TrainingRecipe = TrainingRecipe(1, 32, 5e-5, 0.3)
     phase1_per_class: int = 21
 
 
-def train_pipeline(
-    mode: str,
+def train_backend(
+    name: str,
+    train_split: Sequence[Conversation],
+    corpus: Sequence,
+    backend_factory,
+    plan: TrainingPlan,
+    seed: int,
+    phase1: Optional[ClassifierBackend] = None,
+) -> ClassifierBackend:
+    """Train one named backend: pretrain on its external corpus, then
+    fine-tune on the train split.
+
+    corpus is the name's pretrain corpus: hedge sentences for phase1,
+    deception texts for lie and lie_unrouted, agreement pairs for
+    agreement. backend_factory(classes, input_kind, seed) must return a
+    fresh untrained backend; the seeds are seed, seed + 1 and seed + 2 for
+    phase1, the lie backends and agreement. phase1 self-labels the train
+    split and fine-tunes on a balanced resample. lie fine-tunes on the
+    binary-gold threads the trained phase1 backend routes to it, and
+    lie_unrouted (the single-channel retrain) on every binary-gold
+    thread. agreement fine-tunes on every primary pair, which is already
+    unrouted, so every mode shares it.
+    """
+    if name == "phase1":
+        backend = backend_factory(CERTAINTY_CLASSES, INPUT_TEXT, seed)
+        recipes = (plan.phase1_pretrain, plan.phase1_finetune)
+        return train_phase1(backend, corpus, train_split, *recipes, plan.phase1_per_class, seed)
+    if name in ("lie", "lie_unrouted"):
+        assignments = None
+        if name == "lie":
+            if phase1 is None:
+                raise UntrainedBackend("the routed lie backend needs a trained phase1 backend")
+            assignments = assign_all(phase1, train_split)
+        pretrain, finetune = build_phase21_training(corpus, train_split, assignments)
+        classes, input_kind, seed = LIE_CLASSES, INPUT_TEXT, seed + 1
+        recipes = (plan.lie_pretrain, plan.lie_finetune)
+    elif name == "agreement":
+        pretrain, finetune = build_phase22_training(corpus, train_split)
+        classes, input_kind, seed = STANCE_CLASSES, INPUT_PAIR, seed + 2
+        recipes = (plan.agreement_pretrain, plan.agreement_finetune)
+    else:
+        raise ConfigError(f"backend name must be one of {BACKEND_NAMES}, got {name!r}")
+    backend = backend_factory(classes, input_kind, seed)
+    backend.fit(labeled_examples(pretrain, classes), recipes[0])
+    if finetune:
+        backend.fit(labeled_examples(finetune, classes), recipes[1])
+    return backend
+
+
+def train_backends(
+    names: Sequence[str],
     train_split: Sequence[Conversation],
     hedge_corpus: Sequence[LabeledText],
     deception_corpus: Sequence[LabeledText],
@@ -241,45 +369,25 @@ def train_pipeline(
     backend_factory,
     plan: Optional[TrainingPlan] = None,
     seed: int = 0,
-) -> PipelineBackends:
-    """Train every backend the mode requires and return them together.
-
-    backend_factory(classes, input_kind, seed) must return a fresh
-    untrained backend. Double and inverse modes share one training
-    procedure: Phase 1's routing of the train split decides the lie
-    channel's fine-tune set, and the agreement channel fine-tunes on
-    every primary pair. The single modes retrain their one channel on
-    all usable observations (every binary-gold thread for the lie
-    channel; the agreement channel's fine-tune set is already unrouted).
-    """
+) -> dict[str, ClassifierBackend]:
+    """train_backend() once per distinct name, keyed by name. A grid
+    trains backend_names(MODES): four backends serve all four modes."""
     plan = plan or TrainingPlan()
-    slots = required_backends(mode)
-    phase1 = None
-    assignments: Optional[dict[str, ChannelAssignment]] = None
-    if "phase1" in slots:
-        phase1 = backend_factory(CERTAINTY_CLASSES, INPUT_TEXT, seed)
-        train_phase1(
-            phase1,
-            hedge_corpus,
-            train_split,
-            plan.phase1_pretrain,
-            plan.phase1_finetune,
-            plan.phase1_per_class,
-            seed,
+    corpora = {
+        "hedge_corpus": hedge_corpus,
+        "deception_corpus": deception_corpus,
+        "agreement_corpus": agreement_corpus,
+    }
+    trained: dict[str, ClassifierBackend] = {}
+    for name in sorted(set(names), key=BACKEND_NAMES.index):
+        corpus = corpora[PRETRAIN_CORPUS[name]]
+        trained[name] = train_backend(
+            name, train_split, corpus, backend_factory, plan, seed, trained.get("phase1")
         )
-        assignments = assign_all(phase1, train_split)
-    lie_backend = None
-    if "lie" in slots:
-        lie_backend = backend_factory(LIE_CLASSES, INPUT_TEXT, seed + 1)
-        pretrain, finetune = build_phase21_training(deception_corpus, train_split, assignments)
-        lie_backend.fit(labeled_examples(pretrain, LIE_CLASSES), plan.lie_pretrain)
-        if finetune:
-            lie_backend.fit(labeled_examples(finetune, LIE_CLASSES), plan.lie_finetune)
-    agreement_backend = None
-    if "agreement" in slots:
-        agreement_backend = backend_factory(STANCE_CLASSES, INPUT_PAIR, seed + 2)
-        pretrain, finetune = build_phase22_training(agreement_corpus, train_split)
-        agreement_backend.fit(labeled_examples(pretrain, STANCE_CLASSES), plan.agreement_pretrain)
-        if finetune:
-            agreement_backend.fit(labeled_examples(finetune, STANCE_CLASSES), plan.agreement_finetune)
-    return PipelineBackends(phase1=phase1, lie=lie_backend, agreement=agreement_backend)
+    return trained
+
+
+def train_pipeline(mode: str, *args, **kwargs) -> PipelineBackends:
+    """train_backends() for the backends the mode uses (train_split,
+    corpora, factory, plan and seed as there), in their slots."""
+    return PipelineBackends.for_mode(mode, train_backends(backend_names([mode]), *args, **kwargs))

@@ -17,7 +17,6 @@ from .probs import ProbVector, decide
 
 CHANNEL_LIE = "lie"
 CHANNEL_AGREEMENT = "agreement"
-CHANNELS = (CHANNEL_LIE, CHANNEL_AGREEMENT)
 
 WARN_NO_PRIMARY_REPLIES = "no_primary_replies"
 WARN_DEGENERATE_EVIDENCE = "degenerate_evidence"

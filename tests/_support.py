@@ -245,6 +245,32 @@ def classify_oracle(conv: Conversation, config, backends) -> VeracityPrediction:
     )
 
 
+def spread_reply_ages(conv: Conversation, k: int) -> Conversation:
+    """Reply ages over 0-7 days, so the 1/3/5-day windows keep different replies."""
+    replies = []
+    for j, r in enumerate(conv.replies):
+        age = (k * 7919 + j * 104729) % (7 * 86400)
+        post = dataclasses.replace(r.post, created_at=conv.thread.created_at + timedelta(seconds=age))
+        replies.append(dataclasses.replace(r, post=post))
+    replies.sort(key=lambda r: (r.post.created_at, r.post.id))
+    return dataclasses.replace(conv, replies=tuple(replies))
+
+
+class CountingBackend:
+    """Records each batch call; a per-item predict() call fails the test."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def predict_batch(self, xs):
+        self.batches.append(len(xs))
+        return self.inner.predict_batch(xs)
+
+    def predict(self, x):
+        raise AssertionError("scored one input at a time")
+
+
 # -- strategies --------------------------------------------------------------
 
 

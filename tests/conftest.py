@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from rumorvet.backends import ReferenceBackend
-from rumorvet.pipeline import MODES, TrainingPlan, train_pipeline
+from rumorvet.pipeline import MODES, PipelineBackends, TrainingPlan, backend_names, train_backends
 from rumorvet.synthetic import SyntheticSpec, make_corpus
 
 
@@ -24,22 +24,24 @@ def syn_corpus():
 
 
 @pytest.fixture(scope="session")
-def trained(syn_corpus):
-    """Trained backends per mode, shared across the suite (read-only)."""
+def named_backends(syn_corpus):
+    """Every grid backend, keyed by name, each trained once (read-only)."""
+    return train_backends(
+        backend_names(MODES),
+        list(syn_corpus.train),
+        list(syn_corpus.hedge),
+        list(syn_corpus.deception),
+        list(syn_corpus.agreement),
+        reference_factory,
+        plan=TrainingPlan(),
+        seed=0,
+    )
 
-    out = {}
-    for mode in MODES:
-        out[mode] = train_pipeline(
-            mode,
-            list(syn_corpus.train),
-            list(syn_corpus.hedge),
-            list(syn_corpus.deception),
-            list(syn_corpus.agreement),
-            reference_factory,
-            plan=TrainingPlan(),
-            seed=0,
-        )
-    return out
+
+@pytest.fixture(scope="session")
+def trained(named_backends):
+    """Trained backends per mode, shared across the suite (read-only)."""
+    return {mode: PipelineBackends.for_mode(mode, named_backends) for mode in MODES}
 
 
 @pytest.fixture()

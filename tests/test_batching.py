@@ -1,33 +1,18 @@
 """Stage-wise batched scoring against the per-thread oracle path."""
 
-import dataclasses
-from datetime import timedelta
-
 import pytest
 
 from rumorvet.certainty import assign_all, self_label
 from rumorvet.pipeline import MODES, PipelineBackends, PipelineConfig, run_batch
 
-from ._support import OracleBackend, classify_oracle
+from ._support import CountingBackend, OracleBackend, classify_oracle, spread_reply_ages
 
 WINDOWS = (None, 1, 3, 5)
 
 
-def _spread_reply_ages(conv, k):
-    """Reply ages over 0-7 days, so the 1/3/5-day windows keep different replies."""
-    replies = []
-    for j, r in enumerate(conv.replies):
-        age = (k * 7919 + j * 104729) % (7 * 86400)
-        created_at = conv.thread.created_at + timedelta(seconds=age)
-        post = dataclasses.replace(r.post, created_at=created_at)
-        replies.append(dataclasses.replace(r, post=post))
-    replies.sort(key=lambda r: (r.post.created_at, r.post.id))
-    return dataclasses.replace(conv, replies=tuple(replies))
-
-
 @pytest.fixture(scope="module")
 def test_convs(syn_corpus):
-    return [_spread_reply_ages(c, k) for k, c in enumerate(syn_corpus.test)]
+    return [spread_reply_ages(c, k) for k, c in enumerate(syn_corpus.test)]
 
 
 def _oracles(backends):
@@ -48,21 +33,6 @@ def test_run_batch_equals_per_thread_oracle(trained, test_convs, mode, window):
     assert run_batch(test_convs, config, trained[mode]) == expected
     if mode == "single_agreement" and window == 1:
         assert any(p.warnings for p in expected)
-
-
-class CountingBackend:
-    """Records each batch call; a per-item predict() call fails the test."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.batches = []
-
-    def predict_batch(self, xs):
-        self.batches.append(len(xs))
-        return self.inner.predict_batch(xs)
-
-    def predict(self, x):
-        raise AssertionError("scored one input at a time")
 
 
 @pytest.mark.parametrize("copies", [1, 25])

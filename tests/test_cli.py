@@ -5,8 +5,14 @@ import shutil
 
 import pytest
 
+from rumorvet.agreement import load_agreement_corpus
+from rumorvet.backends import ReferenceBackend, save_model
+from rumorvet.certainty import load_hedge_corpus
 from rumorvet.cli import main
+from rumorvet.config import load_config
 from rumorvet.corpus import load_conversations_jsonl, load_key_file, load_split
+from rumorvet.lie import load_deception_corpus
+from rumorvet.pipeline import BACKEND_NAMES, train_backend
 from rumorvet.predictions import load_predictions_jsonl
 from rumorvet.probs import VERACITY_CLASSES
 from rumorvet.synthetic import SyntheticSpec, materialize
@@ -65,6 +71,27 @@ class TestTrain(object):
     def test_unrouted_manifest_has_no_phase1_input(self, ws):
         doc = json.loads((ws["models"] / "lie_unrouted.manifest.json").read_text())
         assert "phase1_model" not in doc["inputs"]
+
+    def test_model_files_equal_train_backend(self, ws, tmp_path):
+        cfg = load_config(ws["cfg"])
+        train = load_split(cfg.train_dir, labels=load_key_file(cfg.train_key))
+        corpora = {
+            "phase1": load_hedge_corpus(cfg.hedge_corpus),
+            "lie": load_deception_corpus(cfg.deception_corpus),
+            "lie_unrouted": load_deception_corpus(cfg.deception_corpus),
+            "agreement": load_agreement_corpus(cfg.agreement_corpus),
+        }
+
+        def factory(classes, input_kind, seed):
+            return ReferenceBackend(classes, input_kind=input_kind, seed=seed)
+
+        trained = {}
+        for name in BACKEND_NAMES:
+            trained[name] = train_backend(
+                name, train, corpora[name], factory, cfg.training_plan(), cfg.seed, trained.get("phase1")
+            )
+            save_model(trained[name], tmp_path / f"{name}.json")
+            assert (tmp_path / f"{name}.json").read_bytes() == (ws["models"] / f"{name}.json").read_bytes()
 
     def test_retrain_is_byte_identical(self, ws, tmp_path):
         before = (ws["models"] / "agreement.json").read_bytes()
@@ -424,6 +451,63 @@ class TestExitCodes:
         assert rc == 2
         assert "no conversations" in capsys.readouterr().err
         assert not (tmp_path / "p.jsonl").exists()
+
+    def test_classify_rejects_several_windows(self, ws, tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        rc = main(
+            ["classify", ws["test_dir"], "--config", ws["cfg"], "--window-days", "1,3", "--out", str(out)]
+        )
+        assert rc == 1
+        assert "--window-days" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate", "ablate"])
+    @pytest.mark.parametrize(
+        "flag", ["--backend", "--train-dir", "--train-key", "--hedge-corpus", "--deception-corpus", "--agreement-corpus"]
+    )
+    def test_training_flags_only_on_train(self, ws, tmp_path, capsys, command, flag):
+        value = "transformer" if flag == "--backend" else str(tmp_path)
+        rc = main([command, ws["test_dir"], "--config", ws["cfg"], flag, value, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_jsonl_is_data_error(self, ws, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        rc = main(["classify", str(bad), "--config", ws["cfg"], "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl" in err and "UTF-8" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("victim", ["replies/*.json", "source-tweet/*.json", "structure.json"])
+    def test_non_utf8_post_json_is_data_error(self, ws, tmp_path, capsys, victim):
+        broken = tmp_path / "broken"
+        shutil.copytree(ws["test_dir"], broken)
+        path = next(broken.glob(f"*/{victim}"))
+        path.write_bytes(b"\xff\xfe{}")
+        rc = main(["ingest", str(broken), str(tmp_path / "o.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert path.name in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("corpus,phase", [("hedge", "1"), ("deception", "2-1"), ("agreement", "2-2")])
+    def test_non_utf8_corpus_is_data_error(self, ws, tmp_path, capsys, corpus, phase):
+        bad = tmp_path / f"{corpus}.tsv"
+        bad.write_bytes(b"\xff\xfetext\tlabel\n")
+        argv = ["train", "--config", ws["cfg"], "--phase", phase, f"--{corpus}-corpus", str(bad)]
+        rc = main([*argv, "--model-dir", str(tmp_path / "models")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}.tsv" in err and "UTF-8" in err and len(err.splitlines()) == 1
+
+    def test_non_utf8_config_is_usage_error(self, ws, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfeseed = 1\n")
+        rc = main(["classify", ws["test_dir"], "--config", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and "UTF-8" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "flags", [["--window-days", "1,1"], ["--window-days", "none,inf"], ["--modes", "double,double"]]

@@ -7,14 +7,13 @@ import pytest
 from rumorvet.backends import TrainingRecipe
 from rumorvet.config import (
     BACKEND_REFERENCE,
-    CACHE_ENV,
     RunConfig,
-    cache_dir,
     default_config_text,
     load_config,
     parse_config_text,
 )
 from rumorvet.errors import ConfigError
+from rumorvet.pipeline import backend_name
 
 
 class TestRunConfigDefaults:
@@ -56,14 +55,15 @@ class TestRunConfigDefaults:
         cfg = RunConfig(model_dir=Path("m"))
         assert cfg.model_path("phase1") == Path("m/phase1.json")
         assert cfg.model_path("lie") == Path("m/lie.json")
-        assert cfg.model_path("lie", mode="single_lie") == Path("m/lie_unrouted.json")
+        assert cfg.model_path("lie_unrouted") == Path("m/lie_unrouted.json")
         assert cfg.model_path("agreement") == Path("m/agreement.json")
         with pytest.raises(ConfigError):
             cfg.model_path("phase3")
 
     def test_single_lie_config_uses_unrouted_model(self):
         cfg = RunConfig(mode="single_lie")
-        assert cfg.model_path("lie").name == "lie_unrouted.json"
+        assert cfg.model_path(backend_name(cfg.mode, "lie")).name == "lie_unrouted.json"
+        assert cfg.pipeline_config().lie_model.name == "lie_unrouted.json"
 
     def test_pipeline_config_projection(self):
         cfg = RunConfig(mode="inverse", entropy_epsilon=0.01, reply_window_days=3)
@@ -76,7 +76,8 @@ class TestRunConfigDefaults:
     def test_to_dict_stringifies_paths(self):
         d = RunConfig(train_dir=Path("/data/train")).to_dict()
         assert d["train_dir"] == "/data/train"
-        assert d["test_dir"] is None
+        assert d["train_key"] is None
+        assert "test_dir" not in d and "test_key" not in d
 
 
 class TestParseConfigText:
@@ -165,13 +166,3 @@ class TestDefaultConfigText:
         checked_in = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
         assert checked_in.is_file()
         assert load_config(checked_in) == RunConfig()
-
-
-class TestCacheDir:
-    def test_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "scratch"))
-        assert cache_dir() == tmp_path / "scratch"
-
-    def test_default_under_home(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV, raising=False)
-        assert cache_dir().name == "rumorvet"

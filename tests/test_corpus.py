@@ -276,10 +276,6 @@ class TestPrimaryPairs:
         assert [p.reply_text for p in pairs] == ["first", "second"]
         assert all(p.thread_id == "t1" for p in pairs)
 
-    def test_gold_stance_attached(self):
-        conv = make_conv(replies=[("a", 1, True)])
-        assert primary_pairs(conv, gold_stance="agreement")[0].gold_stance == "agreement"
-
     def test_no_primary_replies(self):
         assert primary_pairs(make_conv()) == []
 
