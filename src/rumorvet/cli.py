@@ -30,7 +30,7 @@ from .corpus import (
 from .errors import ConfigError, DataError, ModelError, UsageError
 from .evaluation import EvaluationReport, build_report, render_reports, reports_to_json
 from .lie import load_deception_corpus
-from .manifest import build_manifest, write_manifest
+from .manifest import build_manifest, checksum, write_manifest
 from .pipeline import (
     MODE_BACKENDS,
     MODES,
@@ -213,12 +213,14 @@ def _require_file(cfg: RunConfig, key: str) -> Path:
     return path
 
 
-def _load_conversations(source: Path, key: Optional[Path], lenient: bool = False) -> list[Conversation]:
+def _load_conversations(
+    source: Path, key: Optional[Path], lenient: bool = False, digests: Optional[dict] = None
+) -> list[Conversation]:
     if not source.exists():
         raise DataError(f"corpus path not found: {source}")
     labels = load_key_file(key) if key else None
     if source.is_dir():
-        convs = load_split(source, labels=labels, lenient=lenient)
+        convs = load_split(source, labels=labels, lenient=lenient, digests=digests)
     else:
         convs = load_conversations_jsonl(source)
         if labels:
@@ -233,6 +235,14 @@ def _load_conversations(source: Path, key: Optional[Path], lenient: bool = False
     if not convs:
         raise DataError(f"no conversations found in {source}")
     return convs
+
+
+def _load_checksummed(source: Path, key: Optional[Path]) -> tuple[list[Conversation], str]:
+    """The corpus and its manifest checksum. A directory's files are hashed
+    from the bytes the loader parsed, and the per-file map dies here."""
+    digests: dict[str, str] = {}
+    convs = _load_conversations(source, key, digests=digests)
+    return convs, checksum(source, digests)
 
 
 def _make_backend(cfg: RunConfig, classes: tuple[str, ...], input_kind: str, seed: int):
@@ -258,7 +268,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    train_convs = _load_conversations(_require_path(cfg, "train_dir"), cfg.train_key)
+    train_convs, train_checksum = _load_checksummed(_require_path(cfg, "train_dir"), cfg.train_key)
     if args.phase == "all":
         names = backend_names([cfg.mode])
     else:
@@ -293,8 +303,9 @@ def cmd_train(args) -> int:
             command=f"train:{name}",
             argv=tuple(sys.argv),
             config=cfg.to_dict(),
-            inputs={**inputs, "train_dir": cfg.train_dir},
+            inputs=inputs,
             outputs={"model": out},
+            input_checksums={"train_dir": train_checksum},
         )
         write_manifest(manifest, out.with_suffix(".manifest.json"))
     return 0
@@ -312,7 +323,7 @@ def cmd_classify(args) -> int:
     cfg, windows = _resolve_windows(args, _resolve_config(args))
     if len(windows) > 1:
         raise UsageError(f"classify takes one --window-days value, got {args.window_days!r}")
-    convs = _load_conversations(args.input, args.key)
+    convs, corpus_checksum = _load_checksummed(args.input, args.key)
     backends = _load_backends(cfg, [cfg.mode])
     [row] = score_grid(convs, [(cfg.mode, windows[0])], backends, cfg.entropy_epsilon)
     preds = row.predictions
@@ -326,9 +337,9 @@ def cmd_classify(args) -> int:
         command="classify",
         argv=tuple(sys.argv),
         config=cfg.to_dict(),
-        inputs={"corpus": args.input},
         models=_model_paths(cfg, cfg.mode),
         outputs={"predictions": args.out},
+        input_checksums={"corpus": corpus_checksum},
     )
     write_manifest(manifest, args.out.with_suffix(".manifest.json"))
     return 0
@@ -340,7 +351,7 @@ def _slug(mode: str, window: Optional[int]) -> str:
 
 def _evaluate(args, modes: list[str]) -> int:
     cfg, windows = _resolve_windows(args, _resolve_config(args))
-    convs = _load_conversations(args.input, args.key)
+    convs, corpus_checksum = _load_checksummed(args.input, args.key)
     golds_all = gold_labels(convs)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,11 +389,12 @@ def _evaluate(args, modes: list[str]) -> int:
         command="evaluate",
         argv=tuple(sys.argv),
         config=cfg.to_dict(),
-        inputs={"corpus": args.input, "key": args.key},
+        inputs={"key": args.key},
         models={
             f"{mode}:{slot}": path for mode in modes for slot, path in _model_paths(cfg, mode).items()
         },
         outputs=outputs,
+        input_checksums={"corpus": corpus_checksum},
     )
     write_manifest(manifest, out_dir / "manifest.json")
     return 0

@@ -7,19 +7,22 @@ applies reply time-window restrictions. Loaded conversations round-trip
 through a line-delimited JSON dump that serves as the pipeline's canonical
 intermediate format.
 
-All loaders are pure functions of the filesystem and every returned value
-is immutable, so they are safe to call from parallel workers.
+All loaders are pure functions of the filesystem (apart from filling a
+digests dict the caller passes) and every returned value is immutable, so
+they are safe to call from parallel workers. Each file is read once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedStructure, UnparseableTimestamp
 
@@ -110,11 +113,13 @@ def parse_timestamp(value) -> datetime:
             return parse_timestamp(float(text))
         except (ValueError, UnparseableTimestamp):
             pass
+        # ISO before Twitter: no string matches both (ISO starts with a digit,
+        # the Twitter format with a weekday name), and ISO is the cheap one.
         try:
-            dt = datetime.strptime(text, _TWITTER_TIME_FORMAT)
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
         except ValueError:
             try:
-                dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+                dt = datetime.strptime(text, _TWITTER_TIME_FORMAT)
             except ValueError as exc:
                 raise UnparseableTimestamp(f"unrecognized timestamp {value!r}") from exc
         if dt.tzinfo is None:
@@ -207,6 +212,7 @@ def load_conversation(
     dir_path,
     labels: Mapping[str, str] | None = None,
     lenient: bool = False,
+    digests: dict[str, str] | None = None,
 ) -> Conversation:
     """Load one conversation directory into a validated Conversation.
 
@@ -214,32 +220,30 @@ def load_conversation(
     directory, and structure.json whose root key is the source post id.
     Strict mode raises MalformedStructure when structure ids have no reply
     file or reply files are missing from the structure; lenient mode drops
-    the offenders with a warning instead.
+    the offenders with a warning instead. With digests, the sha256 of each
+    file read is recorded there under its path.
     """
-    d = Path(dir_path)
-    src_dir = d / "source-tweet"
-    src_files = sorted(src_dir.glob("*.json")) if src_dir.is_dir() else []
+    d = os.fspath(dir_path)
+    src_files = _scan_dir(os.path.join(d, "source-tweet"), ".json")
     if len(src_files) != 1:
         raise MalformedStructure(
             f"expected exactly one source post file, found {len(src_files)}", path=d
         )
-    structure_path = d / "structure.json"
-    if not structure_path.is_file():
+    structure_path = os.path.join(d, "structure.json")
+    if not os.path.isfile(structure_path):
         raise MalformedStructure("missing structure.json", path=d)
-    structure = _read_json(structure_path)
+    structure = _read_json(structure_path, digests)
     if not isinstance(structure, dict):
         raise MalformedStructure("structure.json root is not an object", path=structure_path)
 
-    thread = post_from_json(_read_json(src_files[0]), fallback_id=src_files[0].stem)
+    thread = _read_post(src_files[0], digests)
 
     posts: dict[str, Post] = {}
-    replies_dir = d / "replies"
-    if replies_dir.is_dir():
-        for f in sorted(replies_dir.glob("*.json")):
-            post = post_from_json(_read_json(f), fallback_id=f.stem)
-            if post.id == thread.id or post.id in posts:
-                raise MalformedStructure(f"duplicate post id {post.id}", path=d)
-            posts[post.id] = post
+    for f in _scan_dir(os.path.join(d, "replies"), ".json"):
+        post = _read_post(f, digests)
+        if post.id == thread.id or post.id in posts:
+            raise MalformedStructure(f"duplicate post id {post.id}", path=d)
+        posts[post.id] = post
 
     if thread.id not in structure:
         raise MalformedStructure(
@@ -291,32 +295,64 @@ def load_conversation(
     return Conversation(thread=thread, replies=replies, gold_label=gold)
 
 
-def _read_json(path: Path) -> dict:
-    """Parse one JSON file; bytes that are not UTF-8 JSON are a MalformedStructure."""
+def _read_json(path: str, digests: dict[str, str] | None = None):
+    """Parse one JSON file from a single read of its bytes; with digests,
+    record their sha256 under path. A file that cannot be read, or is not
+    UTF-8 JSON, is a MalformedStructure."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if digests is not None:
+            digests[path] = hashlib.sha256(data).hexdigest()
+        return json.loads(data.decode("utf-8"))
+    except OSError as exc:
+        raise MalformedStructure(f"cannot read: {exc.strerror or exc}", path=path) from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise MalformedStructure(f"invalid JSON: {exc}", path=path)
+        raise MalformedStructure(f"invalid JSON: {exc}", path=path) from exc
 
 
-def find_conversation_dirs(root) -> list[Path]:
-    """All directories below root that look like conversation directories."""
-    root = Path(root)
-    found = [
-        p.parent
-        for p in sorted(root.rglob("structure.json"))
-        if (p.parent / "source-tweet").is_dir()
-    ]
-    return found
+def _read_post(entry: os.DirEntry, digests: dict[str, str] | None) -> Post:
+    # The fallback id is the file's Path.stem, which keeps a bare ".json" whole.
+    return post_from_json(_read_json(entry.path, digests), fallback_id=entry.name[:-5] or entry.name)
+
+
+def _scan_dir(path, suffix: str = "") -> list[os.DirEntry]:
+    """The entries of one directory whose names end with suffix, sorted by
+    name; none when path cannot be listed as a directory (as with glob)."""
+    try:
+        with os.scandir(path) as it:
+            return sorted((e for e in it if e.name.endswith(suffix)), key=lambda e: e.name)
+    except OSError:
+        return []
+
+
+def walk_tree(root, rel: str = "") -> Iterator[tuple[str, os.DirEntry]]:
+    """Every entry below root with its '/'-joined path relative to root, in
+    order of path parts. Hidden and symlinked entries are listed;
+    directories reached through a symlink are not descended into."""
+    for entry in _scan_dir(root):
+        yield rel + entry.name, entry
+        if entry.is_dir(follow_symlinks=False):
+            yield from walk_tree(entry.path, rel + entry.name + "/")
+
+
+def find_conversation_dirs(root) -> list[str]:
+    """All directories below root that look like conversation directories,
+    as paths joined onto root (the keys load_split records digests under)."""
+    structures = [e.path for _, e in walk_tree(root) if e.name == "structure.json"]
+    dirs = [os.path.dirname(p) for p in structures if os.path.exists(p)]
+    return [d for d in dirs if os.path.isdir(os.path.join(d, "source-tweet"))]
 
 
 def load_split(
     root,
     labels: Mapping[str, str] | None = None,
     lenient: bool = False,
+    digests: dict[str, str] | None = None,
 ) -> list[Conversation]:
-    """Load every conversation below root, sorted by thread id."""
-    convs = [load_conversation(d, labels=labels, lenient=lenient) for d in find_conversation_dirs(root)]
+    """Load every conversation below root, sorted by thread id; digests as
+    in load_conversation."""
+    convs = [load_conversation(d, labels, lenient, digests) for d in find_conversation_dirs(root)]
     convs.sort(key=lambda c: c.thread.id)
     return convs
 

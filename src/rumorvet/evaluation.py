@@ -171,14 +171,15 @@ def metrics(m: ConfusionMatrix, average: str = "macro") -> MetricSummary:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """One grid row: metrics for one (config, prediction set) pair."""
+    """One grid row: metrics for one (config, prediction set) pair. A row
+    that kept no thread has no metrics (None)."""
 
     config: PipelineConfig
     matrix: ConfusionMatrix
-    macro_f1: float
-    accuracy: float
-    precision: float
-    recall: float
+    macro_f1: Optional[float]
+    accuracy: Optional[float]
+    precision: Optional[float]
+    recall: Optional[float]
     avg_replies: Optional[float]
     n_threads: int
     average: str = "macro"
@@ -236,17 +237,17 @@ def build_report(
     conversations (windowed the same way as the run) or, for a scored
     grid row, from its per-thread primary-reply counts."""
     m = confusion(preds, golds)
-    s = metrics(m, average=average)
+    macro_f1, accuracy, precision, recall = metrics(m, average).astuple() if m.total() else (None,) * 4
     if conversations is not None:
         reply_counts = [len(c.primary_replies()) for c in conversations]
     avg_replies = None if reply_counts is None else _mean_nonzero(reply_counts)
     return EvaluationReport(
         config=config,
         matrix=m,
-        macro_f1=s.macro_f1,
-        accuracy=s.accuracy,
-        precision=s.precision,
-        recall=s.recall,
+        macro_f1=macro_f1,
+        accuracy=accuracy,
+        precision=precision,
+        recall=recall,
         avg_replies=avg_replies,
         n_threads=m.total(),
         average=average,
@@ -284,11 +285,8 @@ def render_reports(reports: Sequence[EvaluationReport]) -> str:
         rows.append(
             [
                 _row_name(r.config),
-                f"{r.macro_f1:.4f}",
-                f"{r.accuracy:.4f}",
-                f"{r.precision:.4f}",
-                f"{r.recall:.4f}",
-                "-" if r.avg_replies is None else f"{r.avg_replies:.2f}",
+                *(_cell(v, ".4f") for v in (r.macro_f1, r.accuracy, r.precision, r.recall)),
+                _cell(r.avg_replies, ".2f"),
                 str(r.n_threads),
             ]
         )
@@ -299,6 +297,10 @@ def render_reports(reports: Sequence[EvaluationReport]) -> str:
         if idx == 0:
             lines.append("  ".join("-" * widths[i] for i in range(len(header))))
     return "\n".join(lines) + "\n"
+
+
+def _cell(value: Optional[float], spec: str) -> str:
+    return "-" if value is None else format(value, spec)
 
 
 def reports_to_json(reports: Sequence[EvaluationReport]) -> str:

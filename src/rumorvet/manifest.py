@@ -18,6 +18,8 @@ from importlib import metadata
 from pathlib import Path
 from typing import Mapping, Optional
 
+from .corpus import walk_tree
+
 
 def tool_version() -> str:
     try:
@@ -34,24 +36,26 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def sha256_tree(root) -> str:
+def sha256_tree(root, digests: Optional[Mapping[str, str]] = None) -> str:
     """Digest of a directory: every file's (relative path, digest) pair,
-    sorted, hashed together. Stable across filesystems and mtimes."""
-    root = Path(root)
+    sorted, hashed together. Stable across filesystems and mtimes. digests
+    holds the sha256 of files a loader already read (corpus.load_split);
+    only the other files are opened."""
+    known = digests or {}
     h = hashlib.sha256()
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            h.update(p.relative_to(root).as_posix().encode("utf-8"))
+    for rel, entry in walk_tree(root):
+        if entry.is_file():
+            h.update(rel.encode("utf-8"))
             h.update(b"\0")
-            h.update(sha256_file(p).encode("ascii"))
+            h.update((known.get(entry.path) or sha256_file(entry.path)).encode("ascii"))
             h.update(b"\n")
     return h.hexdigest()
 
 
-def checksum(path) -> str:
+def checksum(path, digests: Optional[Mapping[str, str]] = None) -> str:
     path = Path(path)
     if path.is_dir():
-        return "tree:" + sha256_tree(path)
+        return "tree:" + sha256_tree(path, digests)
     return "file:" + sha256_file(path)
 
 
@@ -88,8 +92,10 @@ def build_manifest(
     inputs: Optional[Mapping[str, object]] = None,
     models: Optional[Mapping[str, object]] = None,
     outputs: Optional[Mapping[str, object]] = None,
+    input_checksums: Optional[Mapping[str, str]] = None,
 ) -> RunManifest:
-    """Checksum every named path and assemble the record."""
+    """Checksum every named path and assemble the record. input_checksums
+    holds inputs already checksummed (label -> checksum string)."""
 
     def digest_map(paths: Optional[Mapping[str, object]]) -> dict[str, str]:
         out = {}
@@ -103,7 +109,7 @@ def build_manifest(
         command=command,
         argv=tuple(argv),
         config=dict(config),
-        inputs=digest_map(inputs),
+        inputs={**digest_map(inputs), **(input_checksums or {})},
         models=digest_map(models),
         outputs=digest_map(outputs),
         created_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -8,11 +8,13 @@ package against an implementation that shares none of its code.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import re
 import zlib
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from rumorvet.certainty import CERTAINTY_CLASSES, ChannelAssignment
 from rumorvet.corpus import Conversation, Post, Reply, clean_text, filter_window
-from rumorvet.errors import UntrainedBackend
+from rumorvet.errors import UnparseableTimestamp, UntrainedBackend
 from rumorvet.predictions import (
     CHANNEL_AGREEMENT,
     CHANNEL_LIE,
@@ -73,6 +75,52 @@ def metrics_oracle(counts: Sequence[Sequence[int]]):
         "macro_f1": macro[2],
         "per_class": per_class,
     }
+
+
+def sha256_tree_oracle(root) -> str:
+    """The tree digest as first written: rglob, sort the Path objects, open
+    every file that is_file() and hash it again."""
+    root = Path(root)
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(p.relative_to(root).as_posix().encode("utf-8"))
+            h.update(b"\0")
+            h.update(hashlib.sha256(p.read_bytes()).hexdigest().encode("ascii"))
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def parse_timestamp_oracle(value) -> datetime:
+    """The timestamp parser as first written: epoch, then the Twitter
+    format, then ISO 8601."""
+    if isinstance(value, bool):
+        raise UnparseableTimestamp(f"not a timestamp: {value!r}")
+    if isinstance(value, (int, float)):
+        try:
+            dt = datetime.fromtimestamp(float(value), tz=timezone.utc)
+        except (OverflowError, OSError, ValueError) as exc:
+            raise UnparseableTimestamp(f"bad epoch value {value!r}") from exc
+        return dt.replace(microsecond=0)
+    if isinstance(value, str):
+        text = value.strip()
+        if not text:
+            raise UnparseableTimestamp("empty timestamp")
+        try:
+            return parse_timestamp_oracle(float(text))
+        except (ValueError, UnparseableTimestamp):
+            pass
+        try:
+            dt = datetime.strptime(text, "%a %b %d %H:%M:%S %z %Y")
+        except ValueError:
+            try:
+                dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            except ValueError as exc:
+                raise UnparseableTimestamp(f"unrecognized timestamp {value!r}") from exc
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.astimezone(timezone.utc).replace(microsecond=0)
+    raise UnparseableTimestamp(f"not a timestamp: {value!r}")
 
 
 class OracleBackend:

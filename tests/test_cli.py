@@ -17,6 +17,8 @@ from rumorvet.predictions import load_predictions_jsonl
 from rumorvet.probs import VERACITY_CLASSES
 from rumorvet.synthetic import SyntheticSpec, materialize
 
+from ._support import sha256_tree_oracle
+
 SPEC = SyntheticSpec(
     n_train_per_cell=5, n_test_per_cell=2, replies_per_thread=3, pretrain_per_class=12
 )
@@ -195,6 +197,28 @@ class TestClassify:
         )
         assert rc == 3
         assert "model error" in capsys.readouterr().err
+
+    def test_reads_each_corpus_file_once(self, ws, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(ws["test_dir"], data)
+        (data / "README").write_text("not a post\n", encoding="utf-8")
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr("io.open", counting_open)
+        out = tmp_path / "preds.jsonl"
+        assert main(["classify", str(data), "--config", ws["cfg"], "--out", str(out)]) == 0
+        monkeypatch.undo()
+        corpus_opens = [p for p in opened if p.startswith(str(data))]
+        files = [str(p) for p in data.rglob("*") if p.is_file()]
+        assert sorted(corpus_opens) == sorted(files)
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["inputs"] == {"corpus": "tree:" + sha256_tree_oracle(data)}
 
     def test_loaded_predictions_replay(self, ws, tmp_path):
         out = tmp_path / "preds.jsonl"
@@ -490,6 +514,30 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert path.name in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("victim", ["replies", "source-tweet"])
+    def test_json_named_directory_is_data_error(self, ws, tmp_path, capsys, victim):
+        broken = tmp_path / "broken"
+        shutil.copytree(ws["test_dir"], broken)
+        # Replaces a post file, so the source-tweet/ count stays one.
+        post = next(broken.glob(f"*/{victim}/*.json"))
+        post.unlink()
+        post.mkdir()
+        rc = main(["classify", str(broken), "--config", ws["cfg"], "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert post.name in err and "directory" in err and len(err.splitlines()) == 1
+
+    def test_unreadable_post_file_is_data_error(self, ws, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(ws["test_dir"], broken)
+        post = next(broken.glob("*/replies/*.json"))
+        post.unlink()
+        post.symlink_to(tmp_path / "missing.json")  # listed, but opening it fails
+        rc = main(["classify", str(broken), "--config", ws["cfg"], "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert post.name in err and "cannot read" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("corpus,phase", [("hedge", "1"), ("deception", "2-1"), ("agreement", "2-2")])
     def test_non_utf8_corpus_is_data_error(self, ws, tmp_path, capsys, corpus, phase):

@@ -133,3 +133,24 @@ def test_grid_training_builds_four_backends(syn_corpus, named_backends):
     for mode in MODES:
         alone = train_pipeline(mode, list(syn_corpus.train), *corpora, reference_factory)
         assert payloads(alone) == payloads(PipelineBackends.for_mode(mode, grid))
+
+
+def test_empty_window_row_is_reported_not_fatal(grid_ws, syn_corpus, tmp_path):
+    """With these reply ages no thread keeps a primary reply within 1 day."""
+    root, _ = grid_ws
+    convs = [spread_reply_ages(c, k) for k, c in enumerate(syn_corpus.test)]
+    save_conversations_jsonl(convs, tmp_path / "test.jsonl")
+    out = tmp_path / "reports"
+    argv = ["evaluate", str(tmp_path / "test.jsonl"), "--modes", "all", "--window-days", "none,1,3,5"]
+    assert cli.main([*argv, "--model-dir", str(root / "models"), "--out", str(out)]) == 0
+    reports = json.loads((out / "report.json").read_text())
+    assert len(reports) == len(MODES) * len(WINDOWS)
+    table = (out / "report.txt").read_text().splitlines()
+    for mode in MODES:
+        assert (out / f"predictions-{mode}-1d.jsonl").read_text() == ""
+        [row] = [r for r in reports if (r["config"]["mode"], r["config"]["reply_window_days"]) == (mode, 1)]
+        assert row["n_threads"] == 0 and row["matrix"]["counts"] == [[0] * 3] * 3
+        assert [row[k] for k in ("macro_f1", "accuracy", "precision", "recall", "avg_replies")] == [None] * 5
+        assert [f"{mode}/1d", "-", "-", "-", "-", "-", "0"] in [line.split() for line in table]
+    # The other windows still keep threads and are scored.
+    assert all(r["n_threads"] > 0 and r["macro_f1"] is not None for r in reports if r["config"]["reply_window_days"] != 1)
