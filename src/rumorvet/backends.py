@@ -17,6 +17,7 @@ rumorvet.transformer) and is exercised only by opt-in runs.
 from __future__ import annotations
 
 import abc
+import base64
 import json
 import re
 import zlib
@@ -35,7 +36,7 @@ BackendInput = Union[str, tuple[str, str]]
 INPUT_TEXT = "text"
 INPUT_PAIR = "pair"
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _TOKEN_RE = re.compile(r"\w+")
 
@@ -48,7 +49,6 @@ class TrainingRecipe:
     batch_size: int
     learning_rate: float
     label_smoothing: float
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -66,7 +66,6 @@ class TrainingRecipe:
             "batch_size": self.batch_size,
             "learning_rate": self.learning_rate,
             "label_smoothing": self.label_smoothing,
-            "optimizer": self.optimizer,
         }
 
 
@@ -132,10 +131,10 @@ class ReferenceBackend(ClassifierBackend):
     space; pair inputs get side prefixes so thread and reply vocabularies
     stay separate. Training is minibatch gradient descent on the smoothed
     cross-entropy, iterating examples in their given order. The recipe's
-    epochs, batch size and label smoothing are honored; learning_rate and
-    optimizer are transformer-scale knobs that a linear model cannot use,
-    so they are recorded for provenance only and the update uses a fixed
-    internal step size.
+    epochs, batch size and label smoothing are honored; learning_rate is a
+    transformer-scale knob that a linear model cannot use, so it is
+    recorded for provenance only and the update uses a fixed internal step
+    size.
 
     Storage: an int32 bucket -> row index (0 for a bucket no fit() has
     touched) over a growing float64 rows table whose row 0 stays zero.
@@ -160,6 +159,8 @@ class ReferenceBackend(ClassifierBackend):
             raise ValueError(f"unknown input kind {input_kind!r}")
         if len(classes) not in (2, 3):
             raise ValueError("reference backend supports 2 or 3 classes")
+        if not 1 <= n_buckets <= 1 << 31:  # bucket ids are saved as int32
+            raise ValueError(f"n_buckets must be in [1, 2**31], got {n_buckets}")
         self.classes = tuple(classes)
         self.input_kind = input_kind
         self.n_buckets = int(n_buckets)
@@ -316,12 +317,13 @@ class ReferenceBackend(ClassifierBackend):
     # -- persistence -------------------------------------------------------
 
     def payload(self) -> dict:
-        """Model-format-1 state. Lists every bucket any fit() touched, zero
-        rows included, in bucket order."""
+        """Model-format-2 state. Lists every bucket any fit() touched, zero
+        rows included: "buckets" is base64 of their increasing <i4 ids and
+        "rows" base64 of their <f8 rows, row-major."""
         if self._bias is None or not self._recipes:
             raise UntrainedBackend("cannot save an unfitted backend")
         touched = np.flatnonzero(self._index)
-        rows = self._rows[self._index[touched]].tolist()
+        rows = self._rows[self._index[touched]]
         return {
             "classes": list(self.classes),
             "input_kind": self.input_kind,
@@ -329,12 +331,21 @@ class ReferenceBackend(ClassifierBackend):
             "seed": self.seed,
             "step_size": self.step_size,
             "bias": self._bias.tolist(),
-            "weights": dict(zip(map(str, touched.tolist()), rows)),
+            "weights": {
+                "buckets": base64.b64encode(touched.astype("<i4")).decode("ascii"),
+                "rows": base64.b64encode(rows.astype("<f8")).decode("ascii"),
+            },
             "recipes": self._recipes,
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ReferenceBackend":
+    def from_payload(cls, payload: dict, format_version: int = MODEL_FORMAT_VERSION) -> "ReferenceBackend":
+        """The backend a format-1 or format-2 payload() describes. Wrong JSON
+        types and inconsistent weights are ModelFormatErrors; load_model()
+        also turns missing keys, bad base64 and the constructor's errors into them."""
+        for key, kinds in _PAYLOAD_TYPES.items():
+            if not isinstance(payload[key], kinds) or isinstance(payload[key], bool):
+                raise ModelFormatError(f"payload {key!r} has the wrong JSON type")
         backend = cls(
             classes=tuple(payload["classes"]),
             input_kind=payload["input_kind"],
@@ -344,22 +355,44 @@ class ReferenceBackend(ClassifierBackend):
         )
         k = len(backend.classes)
         weights = payload["weights"]
-        buckets = np.fromiter(map(int, weights), dtype=np.int64, count=len(weights))
-        try:
-            rows = np.array([[0.0] * k, *weights.values()], dtype=np.float64)
-        except ValueError as exc:
-            raise ModelFormatError(f"weight rows must have {k} components") from exc
-        if rows.shape != (len(buckets) + 1, k):
-            raise ModelFormatError(f"weight rows must have {k} components")
-        if len(buckets) and not (0 <= buckets.min() and buckets.max() < backend.n_buckets):
+        if format_version == 1:  # {"<bucket>": [row], ...} in any key order
+            buckets = np.array([int(b) for b in weights], dtype=np.int64)
+            rows = _floats([[0.0] * k, *weights.values()], (len(buckets) + 1, k), "weight rows")
+            order = np.argsort(buckets, kind="stable")
+            buckets, rows = buckets[order], rows[1:][order]
+        else:
+            ids, raw = (base64.b64decode(weights[key], validate=True) for key in ("buckets", "rows"))
+            if len(ids) % 4 or len(raw) != 8 * k * (len(ids) // 4):
+                raise ModelFormatError(f"weights must hold 4 bytes per bucket and 8 x {k} per row")
+            buckets = np.frombuffer(ids, dtype="<i4").astype(np.int64)
+            rows = _floats(np.frombuffer(raw, dtype="<f8").reshape(-1, k), (len(buckets), k), "weight rows")
+        if np.any(np.diff(buckets) <= 0):
+            raise ModelFormatError("weight buckets must be distinct and in increasing order")
+        if len(buckets) and not (0 <= buckets[0] and buckets[-1] < backend.n_buckets):
             raise ModelFormatError(f"weight bucket outside [0, {backend.n_buckets})")
-        backend._bias = np.array([float(v) for v in payload["bias"]])
+        backend._bias = _floats(payload["bias"], (k,), "bias")
         backend._index = np.zeros(backend.n_buckets, dtype=np.int32)
         backend._index[buckets] = np.arange(1, len(buckets) + 1)
-        backend._rows = rows
-        backend._n_rows = len(rows)
+        backend._rows = np.concatenate([np.zeros((1, k)), rows])
+        backend._n_rows = len(backend._rows)
         backend._recipes = list(payload["recipes"])
         return backend
+
+
+# The JSON type of each reference payload field; a bool is never a number.
+_PAYLOAD_TYPES = {"classes": list, "input_kind": str, "n_buckets": int, "seed": int,
+                  "step_size": (int, float), "bias": list, "weights": dict, "recipes": list}
+
+
+def _floats(values, shape: tuple, what: str) -> np.ndarray:
+    """Numbers as a float64 array of the given shape, all finite."""
+    try:
+        a = np.array(values)
+    except ValueError:  # ragged rows
+        a = np.array(None)
+    if a.dtype.kind not in "fi" or a.shape != shape or not np.isfinite(a).all():
+        raise ModelFormatError(f"{what} must be finite numbers of shape {shape}")
+    return a.astype(np.float64, copy=False)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -378,20 +411,27 @@ def save_model(backend, path) -> None:
 
 
 def load_model(path) -> ClassifierBackend:
-    """Load a backend from a model file written by save_model."""
+    """Load a backend from a model file save_model wrote, in format 1 or 2.
+    Whatever is wrong with the file is a ModelFormatError."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: a model file is a JSON object, got {type(doc).__name__}")
+    version, kind = doc.get("format_version"), doc.get("backend_kind")
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise ModelFormatError(f"{path}: unsupported model format version {version!r}")
-    kind = doc.get("backend_kind")
-    if kind == ReferenceBackend.backend_kind:
-        return ReferenceBackend.from_payload(doc["payload"])
-    if kind == "transformer":
-        from .transformer import TransformerBackend
+    try:
+        if kind == ReferenceBackend.backend_kind:
+            return ReferenceBackend.from_payload(doc["payload"], version)
+        if kind == "transformer":
+            from .transformer import TransformerBackend
 
-        return TransformerBackend.from_payload(doc["payload"])
+            return TransformerBackend.from_payload(doc["payload"])
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    except (ImportError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"{path}: cannot load {kind} model: {type(exc).__name__}: {exc}") from exc
     raise ModelFormatError(f"{path}: unknown backend kind {kind!r}")

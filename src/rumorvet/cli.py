@@ -273,15 +273,15 @@ def cmd_train(args) -> int:
         names = backend_names([cfg.mode])
     else:
         names = [backend_name(cfg.mode, _PHASE_SLOTS[args.phase])]
-    phase1 = None  # the routed lie backend's router: trained just now, or from disk
+    routing = None  # the train split as phase1 routes it: trained just now, or from disk
     for name in names:
         corpus_key = PRETRAIN_CORPUS[name]
         corpus = _CORPUS_READERS[corpus_key](_require_file(cfg, corpus_key))
         inputs = {corpus_key: getattr(cfg, corpus_key)}
         if name == "lie":
             inputs["phase1_model"] = cfg.model_path("phase1")
-            if phase1 is None:
-                phase1 = load_model(inputs["phase1_model"])
+            if routing is None:
+                routing = assign_all(load_model(inputs["phase1_model"]), train_convs)
         backend = train_backend(
             name,
             train_convs,
@@ -289,15 +289,15 @@ def cmd_train(args) -> int:
             functools.partial(_make_backend, cfg),
             cfg.training_plan(),
             cfg.seed,
-            phase1,
+            routing,
         )
         out = cfg.model_path(name)
         out.parent.mkdir(parents=True, exist_ok=True)
         save_model(backend, out)
         note = ""
         if name == "phase1":
-            phase1 = backend
-            note = f" (train split routed {summarize_assignments(assign_all(backend, train_convs))})"
+            routing = assign_all(backend, train_convs)
+            note = f" (train split routed {summarize_assignments(routing)})"
         print(f"{name} -> {out}{note}")
         manifest = build_manifest(
             command=f"train:{name}",

@@ -69,4 +69,4 @@ class UntrainedBackend(ModelError):
 
 
 class ModelFormatError(ModelError):
-    """A model file has an unknown version or backend kind."""
+    """A model file is unreadable, malformed, or of an unknown version or kind."""

@@ -40,6 +40,7 @@ from .certainty import (
     CERTAIN,
     CERTAINTY_CLASSES,
     UNCERTAIN,
+    ChannelAssignment,
     assign_all,
     assign_threads,
     train_phase1,
@@ -318,7 +319,7 @@ def train_backend(
     backend_factory,
     plan: TrainingPlan,
     seed: int,
-    phase1: Optional[ClassifierBackend] = None,
+    routing: Optional[Mapping[str, ChannelAssignment]] = None,
 ) -> ClassifierBackend:
     """Train one named backend: pretrain on its external corpus, then
     fine-tune on the train split.
@@ -329,22 +330,20 @@ def train_backend(
     fresh untrained backend; the seeds are seed, seed + 1 and seed + 2 for
     phase1, the lie backends and agreement. phase1 self-labels the train
     split and fine-tunes on a balanced resample. lie fine-tunes on the
-    binary-gold threads the trained phase1 backend routes to it, and
-    lie_unrouted (the single-channel retrain) on every binary-gold
-    thread. agreement fine-tunes on every primary pair, which is already
-    unrouted, so every mode shares it.
+    binary-gold threads that routing, the trained phase1 backend's
+    assign_all() of train_split, sends to it, and lie_unrouted (the
+    single-channel retrain) on every binary-gold thread. agreement
+    fine-tunes on every primary pair, which is already unrouted, so every
+    mode shares it.
     """
     if name == "phase1":
         backend = backend_factory(CERTAINTY_CLASSES, INPUT_TEXT, seed)
         recipes = (plan.phase1_pretrain, plan.phase1_finetune)
         return train_phase1(backend, corpus, train_split, *recipes, plan.phase1_per_class, seed)
     if name in ("lie", "lie_unrouted"):
-        assignments = None
-        if name == "lie":
-            if phase1 is None:
-                raise UntrainedBackend("the routed lie backend needs a trained phase1 backend")
-            assignments = assign_all(phase1, train_split)
-        pretrain, finetune = build_phase21_training(corpus, train_split, assignments)
+        if name == "lie" and routing is None:
+            raise UntrainedBackend("the routed lie backend needs the phase1 routing of the train split")
+        pretrain, finetune = build_phase21_training(corpus, train_split, routing if name == "lie" else None)
         classes, input_kind, seed = LIE_CLASSES, INPUT_TEXT, seed + 1
         recipes = (plan.lie_pretrain, plan.lie_finetune)
     elif name == "agreement":
@@ -381,9 +380,10 @@ def train_backends(
     trained: dict[str, ClassifierBackend] = {}
     for name in sorted(set(names), key=BACKEND_NAMES.index):
         corpus = corpora[PRETRAIN_CORPUS[name]]
-        trained[name] = train_backend(
-            name, train_split, corpus, backend_factory, plan, seed, trained.get("phase1")
-        )
+        routing = None
+        if name == "lie" and "phase1" in trained:
+            routing = assign_all(trained["phase1"], train_split)
+        trained[name] = train_backend(name, train_split, corpus, backend_factory, plan, seed, routing)
     return trained
 
 

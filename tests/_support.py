@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import math
 import re
 import zlib
@@ -129,8 +130,9 @@ class OracleBackend:
 
     Features are a dict of bucket -> count per input, logits add
     count * row in first-occurrence order, and each minibatch step sums
-    its gradients example by example. Its payload() is in model format 1,
-    so save_model() writes the same files ReferenceBackend must write.
+    its gradients example by example. Its payload() is in model format 1:
+    payload_v1() of a ReferenceBackend in the same state must equal it,
+    and save_v1() writes the file format 1 had.
     """
 
     backend_kind = "reference"
@@ -242,6 +244,35 @@ def _oracle_softmax(z):
     return e / e.sum()
 
 
+def payload_v1(backend) -> dict:
+    """A ReferenceBackend's state in model format 1, as its payload() wrote
+    it before format 2: every bucket any fit() touched, zero rows included,
+    keyed by str(bucket) in bucket order, each row a list of floats."""
+    if backend._bias is None or not backend._recipes:
+        raise UntrainedBackend("cannot save an unfitted backend")
+    touched = np.flatnonzero(backend._index)
+    rows = backend._rows[backend._index[touched]].tolist()
+    return {
+        "classes": list(backend.classes),
+        "input_kind": backend.input_kind,
+        "n_buckets": backend.n_buckets,
+        "seed": backend.seed,
+        "step_size": backend.step_size,
+        "bias": backend._bias.tolist(),
+        "weights": dict(zip(map(str, touched.tolist()), rows)),
+        "recipes": backend._recipes,
+    }
+
+
+def save_v1(backend, path) -> None:
+    """save_model() as model format 1 wrote it. An OracleBackend's own
+    payload() is already format 1; a ReferenceBackend goes through
+    payload_v1()."""
+    payload = backend.payload() if isinstance(backend, OracleBackend) else payload_v1(backend)
+    doc = {"format_version": 1, "backend_kind": "reference", "payload": payload}
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def classify_oracle(conv: Conversation, config, backends) -> VeracityPrediction:
     """One thread through the double-channel rules, one predict() per input."""
     eps = config.entropy_epsilon
@@ -305,11 +336,16 @@ def spread_reply_ages(conv: Conversation, k: int) -> Conversation:
 
 
 class CountingBackend:
-    """Records each batch call; a per-item predict() call fails the test."""
+    """Records each batch call; a per-item predict() call fails the test.
+    Every other attribute (fit, payload, classes, ...) is the inner
+    backend's, so a wrapped backend can still be trained and saved."""
 
     def __init__(self, inner):
         self.inner = inner
         self.batches = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def predict_batch(self, xs):
         self.batches.append(len(xs))

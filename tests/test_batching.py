@@ -5,7 +5,7 @@ import pytest
 from rumorvet.certainty import assign_all, self_label
 from rumorvet.pipeline import MODES, PipelineBackends, PipelineConfig, run_batch
 
-from ._support import CountingBackend, OracleBackend, classify_oracle, spread_reply_ages
+from ._support import CountingBackend, OracleBackend, classify_oracle, payload_v1, spread_reply_ages
 
 WINDOWS = (None, 1, 3, 5)
 
@@ -18,7 +18,7 @@ def test_convs(syn_corpus):
 def _oracles(backends):
     return PipelineBackends(
         **{
-            slot: None if b is None else OracleBackend.from_payload(b.payload())
+            slot: None if b is None else OracleBackend.from_payload(payload_v1(b))
             for slot, b in vars(backends).items()
         }
     )

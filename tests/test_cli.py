@@ -7,7 +7,8 @@ import pytest
 
 from rumorvet.agreement import load_agreement_corpus
 from rumorvet.backends import ReferenceBackend, save_model
-from rumorvet.certainty import load_hedge_corpus
+from rumorvet.certainty import assign_all, load_hedge_corpus
+from rumorvet import cli, pipeline
 from rumorvet.cli import main
 from rumorvet.config import load_config
 from rumorvet.corpus import load_conversations_jsonl, load_key_file, load_split
@@ -17,7 +18,7 @@ from rumorvet.predictions import load_predictions_jsonl
 from rumorvet.probs import VERACITY_CLASSES
 from rumorvet.synthetic import SyntheticSpec, materialize
 
-from ._support import sha256_tree_oracle
+from ._support import CountingBackend, sha256_tree_oracle
 
 SPEC = SyntheticSpec(
     n_train_per_cell=5, n_test_per_cell=2, replies_per_thread=3, pretrain_per_class=12
@@ -89,11 +90,33 @@ class TestTrain(object):
 
         trained = {}
         for name in BACKEND_NAMES:
+            routing = assign_all(trained["phase1"], train) if name == "lie" else None
             trained[name] = train_backend(
-                name, train, corpora[name], factory, cfg.training_plan(), cfg.seed, trained.get("phase1")
+                name, train, corpora[name], factory, cfg.training_plan(), cfg.seed, routing
             )
             save_model(trained[name], tmp_path / f"{name}.json")
             assert (tmp_path / f"{name}.json").read_bytes() == (ws["models"] / f"{name}.json").read_bytes()
+
+    def test_train_all_routes_the_train_split_once(self, ws, tmp_path, monkeypatch, capsys):
+        """The printed routing summary and the lie fine-tune set share one
+        predict_batch call on the freshly trained router."""
+        routers = []
+
+        def counting_train(name, *args):
+            backend = pipeline.train_backend(name, *args)
+            if name == "phase1":
+                backend = CountingBackend(backend)
+                routers.append(backend)
+            return backend
+
+        monkeypatch.setattr(cli, "train_backend", counting_train)
+        models = tmp_path / "models"
+        argv = ["train", "--config", ws["cfg"], "--phase", "all", "--model-dir", str(models)]
+        assert main(argv) == 0
+        assert [len(r.batches) for r in routers] == [1]
+        assert "train split routed" in capsys.readouterr().out
+        for name in ("phase1", "lie", "agreement"):
+            assert (models / f"{name}.json").read_bytes() == (ws["models"] / f"{name}.json").read_bytes()
 
     def test_retrain_is_byte_identical(self, ws, tmp_path):
         before = (ws["models"] / "agreement.json").read_bytes()

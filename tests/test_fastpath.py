@@ -1,5 +1,8 @@
 """ReferenceBackend's array code against the per-example oracle, bit for bit."""
 
+import base64
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from rumorvet.backends import (
 )
 from rumorvet.errors import ModelFormatError
 
-from ._support import OracleBackend
+from ._support import OracleBackend, payload_v1, save_v1
 
 _WORDS = ("storm", "Storm", "bridge", "market", "a1", "x", "hoax", "verified", "no", "yes")
 
@@ -68,8 +71,8 @@ def test_fit_and_predict_match_oracle(tmp_path_factory, case):
         fast.fit(labeled_examples(examples, classes), recipe)
         oracle.fit(labeled_examples(examples, classes), recipe)
     out = tmp_path_factory.mktemp("fit")
-    save_model(fast, out / "fast.json")
-    save_model(oracle, out / "oracle.json")
+    save_v1(fast, out / "fast.json")
+    save_v1(oracle, out / "oracle.json")
     assert (out / "fast.json").read_bytes() == (out / "oracle.json").read_bytes()
     _assert_same_predictions(fast, oracle, probes + [x for x, _ in runs[0][0]])
 
@@ -92,7 +95,7 @@ def test_tiny_bucket_space_collides_across_pair_sides(tmp_path):
         return len(set(x[0].lower().split())) + len(set(x[1].lower().split()))
 
     assert any(len(oracle._feature_counts(x)) < distinct_tokens(x) for x, _ in examples)
-    assert fast.payload() == oracle.payload()
+    assert payload_v1(fast) == oracle.payload()
     _assert_same_predictions(fast, oracle, [x for x, _ in examples] + [("", "")])
 
 
@@ -107,7 +110,7 @@ def test_batches_past_the_chunk_boundary():
     recipe = TrainingRecipe(epochs=2, batch_size=32, learning_rate=5e-5, label_smoothing=0.3)
     fast.fit(labeled_examples(examples, fast.classes), recipe)
     oracle.fit(labeled_examples(examples, oracle.classes), recipe)
-    assert fast.payload() == oracle.payload()
+    assert payload_v1(fast) == oracle.payload()
     probes = [x for x, _ in examples] * 2 + [("unseen words", "")]
     _assert_same_predictions(fast, oracle, probes)
 
@@ -118,10 +121,10 @@ def test_oracle_written_model_loads_and_scores(tmp_path):
     examples *= 4
     oracle.fit(labeled_examples(examples, oracle.classes), TrainingRecipe(4, 3, 5e-5, 0.2))
     path = tmp_path / "model.json"
-    save_model(oracle, path)
+    save_v1(oracle, path)
     loaded = load_model(path)
     _assert_same_predictions(loaded, oracle, ["confirmed hoax", "", "verified verified", "zzz"])
-    save_model(loaded, tmp_path / "again.json")
+    save_v1(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
@@ -131,11 +134,11 @@ def test_continued_training_after_load_matches_oracle(tmp_path):
     second = [("new words entirely", "no"), ("confirmed again", "yes"), ("", "no")]
     recipe = TrainingRecipe(epochs=2, batch_size=4, learning_rate=5e-5, label_smoothing=0.1)
     oracle.fit(labeled_examples(first, oracle.classes), recipe)
-    save_model(oracle, tmp_path / "m.json")
+    save_v1(oracle, tmp_path / "m.json")
     fast = load_model(tmp_path / "m.json")
     fast.fit(labeled_examples(second, fast.classes), recipe)
     oracle.fit(labeled_examples(second, oracle.classes), recipe)
-    assert fast.payload() == oracle.payload()
+    assert payload_v1(fast) == oracle.payload()
     _assert_same_predictions(fast, oracle, ["new confirmed", "hoax words", ""])
 
 
@@ -146,18 +149,70 @@ def test_touched_buckets_are_saved_even_when_zero():
     recipe = TrainingRecipe(epochs=1, batch_size=2, learning_rate=5e-5, label_smoothing=0.0)
     fast.fit(labeled_examples(examples, fast.classes), recipe)
     oracle.fit(labeled_examples(examples, oracle.classes), recipe)
-    assert fast.payload()["weights"] == oracle.payload()["weights"]
-    assert len(fast.payload()["weights"]) == 1
+    assert payload_v1(fast)["weights"] == oracle.payload()["weights"]
+    assert len(payload_v1(fast)["weights"]) == 1
 
 
 @pytest.mark.parametrize("bad", [{"7": [0.0]}, {"99999": [0.0, 0.0]}])
 def test_malformed_weights_rejected(bad):
     fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
     fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
+    payload = payload_v1(fast)
+    payload["weights"] = bad
+    with pytest.raises(ModelFormatError):
+        ReferenceBackend.from_payload(payload, 1)
+
+
+def _v2_weights(buckets, rows_bytes):
+    ids = np.array(buckets, dtype="<i4").tobytes()
+    return {"buckets": base64.b64encode(ids).decode(), "rows": base64.b64encode(rows_bytes).decode()}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"buckets": base64.b64encode(b"\0\0\0").decode(), "rows": ""},  # 3 bytes of ids
+        _v2_weights([7], b"\0" * 8),  # one row of a 2-class model is 16 bytes
+        _v2_weights([7], b"\0" * 24),
+        _v2_weights([99999], b"\0" * 16),  # n_buckets is 65536
+        _v2_weights([-1], b"\0" * 16),
+        _v2_weights([5, 3], b"\0" * 32),  # not increasing
+        _v2_weights([3, 3], b"\0" * 32),
+        _v2_weights([3], np.array([np.nan, 0.0]).tobytes()),
+    ],
+)
+def test_malformed_v2_weights_rejected(bad):
+    fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
+    fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
     payload = fast.payload()
     payload["weights"] = bad
     with pytest.raises(ModelFormatError):
         ReferenceBackend.from_payload(payload)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fit_cases())
+def test_format_1_and_2_files_predict_alike(tmp_path_factory, case):
+    """A model saved as format 1, loaded and re-saved as format 2 predicts
+    bit-identically at every step, and re-saving format 2 is byte-stable."""
+    kind, classes, n_buckets, seed, runs, probes = case
+    fast, _ = _pair(kind, classes, n_buckets, seed)
+    for examples, recipe in runs:
+        fast.fit(labeled_examples(examples, classes), recipe)
+    out = tmp_path_factory.mktemp("formats")
+    save_v1(fast, out / "v1.json")
+    from_v1 = load_model(out / "v1.json")
+    save_model(from_v1, out / "v2.json")
+    from_v2 = load_model(out / "v2.json")
+    probes = probes + [x for x, _ in runs[0][0]]
+    expected = [p.values for p in fast.predict_batch(probes)]
+    assert [p.values for p in from_v1.predict_batch(probes)] == expected
+    assert [p.values for p in from_v2.predict_batch(probes)] == expected
+    save_model(from_v2, out / "again.json")
+    assert (out / "again.json").read_bytes() == (out / "v2.json").read_bytes()
+    save_model(fast, out / "fast.json")
+    assert (out / "fast.json").read_bytes() == (out / "v2.json").read_bytes()
+    assert payload_v1(from_v2) == payload_v1(fast)
 
 
 def test_empty_batch():

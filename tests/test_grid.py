@@ -26,7 +26,7 @@ from rumorvet.pipeline import (
 from rumorvet.predictions import load_predictions_jsonl
 
 from .conftest import reference_factory
-from ._support import CountingBackend, OracleBackend, classify_oracle, spread_reply_ages
+from ._support import CountingBackend, OracleBackend, classify_oracle, payload_v1, spread_reply_ages
 
 WINDOWS = (None, 1, 3, 5)
 
@@ -63,7 +63,7 @@ def _evaluate_grid(root: Path, out: Path) -> int:
 
 def _oracles(backends: PipelineBackends) -> PipelineBackends:
     return PipelineBackends(
-        **{slot: b and OracleBackend.from_payload(b.payload()) for slot, b in vars(backends).items()}
+        **{slot: b and OracleBackend.from_payload(payload_v1(b)) for slot, b in vars(backends).items()}
     )
 
 
