@@ -12,8 +12,6 @@ scale.
 from .agreement import (
     GOLD_TO_STANCE,
     STANCE_CLASSES,
-    AggregateScore,
-    StanceScore,
     aggregate,
     classify_agreement,
     score_pairs,
@@ -71,7 +69,6 @@ from .evaluation import (
     build_report,
     confusion,
     metrics,
-    report_grid,
 )
 from .lie import classify_lie
 from .manifest import RunManifest, build_manifest, write_manifest
@@ -81,12 +78,10 @@ from .pipeline import (
     MODE_SINGLE_AGREEMENT,
     MODE_SINGLE_LIE,
     MODES,
-    PipelineBackends,
     PipelineConfig,
     TrainingPlan,
     classify,
     run_batch,
-    train_pipeline,
 )
 from .predictions import (
     CHANNEL_AGREEMENT,

@@ -19,12 +19,11 @@ gold veracity mapped onto a stance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .backends import ClassifierBackend, predict_all
 from .certainty import _load_tsv
-from .corpus import Conversation, ThreadReplyPair, primary_pairs
+from .corpus import Conversation, primary_pairs
 from .errors import DegenerateEvidence, EmptyEvidence
 from .predictions import (
     CHANNEL_AGREEMENT,
@@ -49,52 +48,25 @@ LabeledPair = tuple[tuple[str, str], str]
 _NO_EVIDENCE = ProbVector((0.5, 0.5))
 
 
-@dataclass(frozen=True)
-class StanceScore:
-    """Softmax over (agreement, disagreement, none) for one pair."""
-
-    pair: ThreadReplyPair
-    softmax: ProbVector
-
-    def __post_init__(self):
-        if self.softmax.k != 3:
-            raise ValueError("stance softmax must have 3 components")
-
-
-@dataclass(frozen=True)
-class AggregateScore:
-    """Thread-level (agree, disagree) vector after the none-discard sum."""
-
-    thread_id: str
-    normalized: ProbVector
-    n_replies: int
-
-
-def score_pairs(conv: Conversation, backend: ClassifierBackend) -> list[StanceScore]:
-    """One stance score per primary reply, in stable reply order, from one
+def score_pairs(conv: Conversation, backend: ClassifierBackend) -> list[ProbVector]:
+    """One stance softmax per primary reply, in stable reply order, from one
     batched call."""
-    pairs = primary_pairs(conv)
-    softmaxes = predict_all(backend, [(p.thread_text, p.reply_text) for p in pairs])
-    return [StanceScore(pair=p, softmax=s) for p, s in zip(pairs, softmaxes)]
+    return predict_all(backend, [(p.thread_text, p.reply_text) for p in primary_pairs(conv)])
 
 
-def aggregate(scores: Sequence[StanceScore]) -> AggregateScore:
-    """Sum agree/disagree mass over a thread's pairs and renormalize."""
-    if not scores:
+def aggregate(softmaxes: Sequence[ProbVector]) -> ProbVector:
+    """Sum agree/disagree mass over a thread's stance softmaxes and
+    renormalize the two sums to an (agree, disagree) vector."""
+    if not softmaxes:
         raise EmptyEvidence("no stance scores to aggregate")
-    thread_ids = {s.pair.thread_id for s in scores}
-    if len(thread_ids) != 1:
-        raise ValueError(f"scores span multiple threads: {sorted(thread_ids)}")
-    agree = math.fsum(s.softmax[0] for s in scores)
-    disagree = math.fsum(s.softmax[1] for s in scores)
+    if any(s.k != 3 for s in softmaxes):
+        raise ValueError("stance softmax must have 3 components")
+    agree = math.fsum(s[0] for s in softmaxes)
+    disagree = math.fsum(s[1] for s in softmaxes)
     total = agree + disagree
     if total == 0.0:
         raise DegenerateEvidence("every pair put its whole mass on none")
-    return AggregateScore(
-        thread_id=thread_ids.pop(),
-        normalized=ProbVector((agree / total, disagree / total)),
-        n_replies=len(scores),
-    )
+    return ProbVector((agree / total, disagree / total))
 
 
 def classify_agreement(
@@ -105,24 +77,24 @@ def classify_agreement(
 
 
 def agreement_prediction(
-    thread_id: str, scores: Sequence[StanceScore], epsilon: float
+    thread_id: str, softmaxes: Sequence[ProbVector], epsilon: float
 ) -> VeracityPrediction:
-    """The agreement channel's verdict from a thread's stance scores,
+    """The agreement channel's verdict from a thread's stance softmaxes,
     abstaining when there are none or they carry no agree/disagree mass."""
-    if not scores:
+    if not softmaxes:
         return _abstain(thread_id, 0, WARN_NO_PRIMARY_REPLIES)
     try:
-        agg = aggregate(scores)
+        evidence = aggregate(softmaxes)
     except DegenerateEvidence:
-        return _abstain(thread_id, len(scores), WARN_DEGENERATE_EVIDENCE)
+        return _abstain(thread_id, len(softmaxes), WARN_DEGENERATE_EVIDENCE)
     return VeracityPrediction(
         thread_id=thread_id,
-        label=decide(agg.normalized, (TRUE, FALSE), epsilon),
+        label=decide(evidence, (TRUE, FALSE), epsilon),
         channel=CHANNEL_AGREEMENT,
         assignment=None,
-        evidence=agg.normalized,
-        entropy=self_entropy(agg.normalized),
-        n_replies_used=agg.n_replies,
+        evidence=evidence,
+        entropy=self_entropy(evidence),
+        n_replies_used=len(softmaxes),
     )
 
 

@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ModelFormatError, UntrainedBackend
+from .errors import ModelError, ModelFormatError, UntrainedBackend
 from .probs import ProbVector, one_hot, smooth_labels
 
 BackendInput = Union[str, tuple[str, str]]
@@ -430,7 +430,7 @@ def load_model(path) -> ClassifierBackend:
             from .transformer import TransformerBackend
 
             return TransformerBackend.from_payload(doc["payload"])
-    except ModelFormatError as exc:
+    except ModelError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     except (ImportError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: cannot load {kind} model: {type(exc).__name__}: {exc}") from exc

@@ -27,14 +27,14 @@ from .corpus import (
     primary_pairs,
     save_conversations_jsonl,
 )
-from .errors import ConfigError, DataError, ModelError, UsageError
+from .errors import ConfigError, DataError, ModelError, ModelFormatError, UsageError
 from .evaluation import EvaluationReport, build_report, render_reports, reports_to_json
 from .lie import load_deception_corpus
 from .manifest import build_manifest, checksum, write_manifest
 from .pipeline import (
+    BACKEND_SPECS,
     MODE_BACKENDS,
     MODES,
-    PRETRAIN_CORPUS,
     backend_name,
     backend_names,
     score_grid,
@@ -275,13 +275,13 @@ def cmd_train(args) -> int:
         names = [backend_name(cfg.mode, _PHASE_SLOTS[args.phase])]
     routing = None  # the train split as phase1 routes it: trained just now, or from disk
     for name in names:
-        corpus_key = PRETRAIN_CORPUS[name]
+        corpus_key = BACKEND_SPECS[name].pretrain_corpus
         corpus = _CORPUS_READERS[corpus_key](_require_file(cfg, corpus_key))
         inputs = {corpus_key: getattr(cfg, corpus_key)}
         if name == "lie":
             inputs["phase1_model"] = cfg.model_path("phase1")
             if routing is None:
-                routing = assign_all(load_model(inputs["phase1_model"]), train_convs)
+                routing = assign_all(_load_backend(cfg, "phase1"), train_convs)
         backend = train_backend(
             name,
             train_convs,
@@ -311,8 +311,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_backend(cfg: RunConfig, name: str):
+    """The named backend's model file, which must have the classes and
+    input kind BACKEND_SPECS gives that name."""
+    path = cfg.model_path(name)
+    backend = load_model(path)
+    spec = BACKEND_SPECS[name]
+    if (tuple(backend.classes), backend.input_kind) != (spec.classes, spec.input_kind):
+        raise ModelFormatError(
+            f"{path}: a {name} model has classes {list(spec.classes)} and {spec.input_kind} input, "
+            f"this one has {list(backend.classes)} and {backend.input_kind} input"
+        )
+    return backend
+
+
 def _load_backends(cfg: RunConfig, modes: list[str]) -> dict:
-    return {name: load_model(cfg.model_path(name)) for name in backend_names(modes)}
+    return {name: _load_backend(cfg, name) for name in backend_names(modes)}
 
 
 def _model_paths(cfg: RunConfig, mode: str) -> dict[str, Path]:

@@ -84,6 +84,15 @@ class RunConfig:
             raise ConfigError(
                 f"reply_window_days must be a positive integer, got {self.reply_window_days!r}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.phase1_per_class < 0:
+            raise ConfigError(f"phase1_per_class must be >= 0, got {self.phase1_per_class!r}")
+        for stage in _STAGES:
+            try:
+                self.recipe(stage)
+            except ValueError as exc:
+                raise ConfigError(f"{stage} recipe: {exc}") from exc
 
     def recipe(self, stage: str) -> TrainingRecipe:
         if stage not in _STAGES:
@@ -145,12 +154,6 @@ def _coerce(key: str, raw: str, kind: type, optional: bool):
     if optional and raw.lower() in _NONE_TOKENS:
         return None
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind is Path:
             return Path(raw)
         return kind(raw)

@@ -73,7 +73,6 @@ class ThreadReplyPair:
 
     thread_text: str
     reply_text: str
-    thread_id: str
 
 
 def clean_text(raw: str) -> str:
@@ -383,11 +382,7 @@ def primary_pairs(conv: Conversation) -> list[ThreadReplyPair]:
     replies yields an empty list.
     """
     return [
-        ThreadReplyPair(
-            thread_text=conv.thread.text_clean,
-            reply_text=r.post.text_clean,
-            thread_id=conv.thread.id,
-        )
+        ThreadReplyPair(thread_text=conv.thread.text_clean, reply_text=r.post.text_clean)
         for r in conv.replies
         if r.is_primary
     ]

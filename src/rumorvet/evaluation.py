@@ -69,18 +69,6 @@ class ConfusionMatrix:
         k = len(self.classes)
         return tuple(sum(self.counts[i][j] for i in range(k)) for j in range(k))
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.classes != other.classes:
-            raise ValueError("cannot add matrices over different class sets")
-        k = len(self.classes)
-        return ConfusionMatrix(
-            tuple(
-                tuple(self.counts[i][j] + other.counts[i][j] for j in range(k))
-                for i in range(k)
-            ),
-            self.classes,
-        )
-
 
 def _pred_labels(preds: PredsLike) -> dict[str, str]:
     if isinstance(preds, Mapping):
@@ -213,11 +201,6 @@ def restrict_to_windowed(
     return [c for c in windowed if c.primary_replies()]
 
 
-def average_primary_replies(convs: Sequence[Conversation]) -> Optional[float]:
-    """Mean primary-reply count over conversations that have any."""
-    return _mean_nonzero([len(c.primary_replies()) for c in convs])
-
-
 def _mean_nonzero(counts: Sequence[int]) -> Optional[float]:
     counts = [n for n in counts if n > 0]
     if not counts:
@@ -229,17 +212,13 @@ def build_report(
     config: PipelineConfig,
     preds: PredsLike,
     golds: Mapping[str, str],
-    conversations: Optional[Sequence[Conversation]] = None,
     average: str = "macro",
     reply_counts: Optional[Sequence[int]] = None,
 ) -> EvaluationReport:
-    """Confusion plus metrics for one run. The Avg # column comes from
-    conversations (windowed the same way as the run) or, for a scored
-    grid row, from its per-thread primary-reply counts."""
+    """Confusion plus metrics for one run. The Avg # column comes from the
+    per-thread primary-reply counts of a scored grid row."""
     m = confusion(preds, golds)
     macro_f1, accuracy, precision, recall = metrics(m, average).astuple() if m.total() else (None,) * 4
-    if conversations is not None:
-        reply_counts = [len(c.primary_replies()) for c in conversations]
     avg_replies = None if reply_counts is None else _mean_nonzero(reply_counts)
     return EvaluationReport(
         config=config,
@@ -254,28 +233,10 @@ def build_report(
     )
 
 
-RunTuple = Union[
-    tuple[PipelineConfig, PredsLike, Mapping[str, str]],
-    tuple[PipelineConfig, PredsLike, Mapping[str, str], Sequence[Conversation]],
-]
-
-
 def _row_name(config: PipelineConfig) -> str:
     if config.reply_window_days is not None:
         return f"{config.mode}/{config.reply_window_days}d"
     return config.mode
-
-
-def report_grid(runs: Sequence[RunTuple], average: str = "macro") -> str:
-    """Render one table row per run (the experiment-grid layout)."""
-    if not runs:
-        raise ValueError("report_grid needs at least one run")
-    reports = []
-    for run in runs:
-        config, preds, golds = run[0], run[1], run[2]
-        convs = run[3] if len(run) > 3 else None
-        reports.append(build_report(config, preds, golds, convs, average=average))
-    return render_reports(reports)
 
 
 def render_reports(reports: Sequence[EvaluationReport]) -> str:

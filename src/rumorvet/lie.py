@@ -15,7 +15,7 @@ confidence by definition and are excluded from fine-tuning.
 from __future__ import annotations
 
 import logging
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .backends import ClassifierBackend, predict_all
 from .certainty import CERTAIN, ChannelAssignment, _load_tsv
@@ -32,7 +32,6 @@ LIE_CLASSES = (TRUE, FALSE)
 DECEPTION_LABEL_MAP = {"truthful": TRUE, "deceptive": FALSE}
 
 LabeledText = tuple[str, str]
-AssignmentsLike = Union[Mapping[str, ChannelAssignment], Mapping[str, str], Sequence[ChannelAssignment]]
 
 
 def classify_lie(thread: Post, backend: ClassifierBackend, epsilon: float) -> VeracityPrediction:
@@ -53,19 +52,10 @@ def lie_prediction(thread_id: str, p: ProbVector, epsilon: float) -> VeracityPre
     )
 
 
-def _assignment_labels(phase1: AssignmentsLike) -> dict[str, str]:
-    if isinstance(phase1, Mapping):
-        return {
-            tid: (a.label if isinstance(a, ChannelAssignment) else str(a))
-            for tid, a in phase1.items()
-        }
-    return {a.thread_id: a.label for a in phase1}
-
-
 def build_phase21_training(
     pretrain_corpus: Sequence[LabeledText],
     train_split: Sequence[Conversation],
-    phase1: Optional[AssignmentsLike],
+    phase1: Optional[Mapping[str, ChannelAssignment]],
 ) -> tuple[list[LabeledText], list[LabeledText]]:
     """Assemble the two Phase-2-1 training sets.
 
@@ -73,22 +63,22 @@ def build_phase21_training(
     true/false. The fine-tune set keeps only threads whose gold label is
     true or false and which Phase 1 routed to the certain group; passing
     phase1=None (the single-channel retraining variant) keeps every
-    binary-gold thread.
+    binary-gold thread. phase1 maps thread ids to assignments, as
+    certainty.assign_all() returns them.
     """
     pretrain = [(text, DECEPTION_LABEL_MAP.get(label, label)) for text, label in pretrain_corpus]
     for _, label in pretrain:
         if label not in LIE_CLASSES:
             raise ValueError(f"unmappable deception label {label!r}")
-    labels = None if phase1 is None else _assignment_labels(phase1)
     finetune: list[LabeledText] = []
     for conv in train_split:
         if conv.gold_label not in LIE_CLASSES:
             continue
-        if labels is not None:
+        if phase1 is not None:
             tid = conv.thread.id
-            if tid not in labels:
+            if tid not in phase1:
                 raise ValueError(f"phase 1 assignment missing for thread {tid}")
-            if labels[tid] != CERTAIN:
+            if phase1[tid].label != CERTAIN:
                 continue
         finetune.append((conv.thread.text_clean, conv.gold_label))
     if not finetune:

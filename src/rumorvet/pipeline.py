@@ -19,15 +19,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .agreement import (
-    STANCE_CLASSES,
-    LabeledPair,
-    StanceScore,
-    agreement_prediction,
-    build_phase22_training,
-)
+from .agreement import STANCE_CLASSES, LabeledPair, agreement_prediction, build_phase22_training
 from .backends import (
     INPUT_PAIR,
     INPUT_TEXT,
@@ -115,26 +109,32 @@ MODE_BACKENDS = {
     MODE_SINGLE_AGREEMENT: {"agreement": "agreement"},
     MODE_INVERSE: {"phase1": "phase1", "lie": "lie", "agreement": "agreement"},
 }
-# The pretrain corpus (its config key) of every backend name, in training
-# order: the routed lie backend needs phase1.
-PRETRAIN_CORPUS = {
-    "phase1": "hedge_corpus",
-    "lie": "deception_corpus",
-    "lie_unrouted": "deception_corpus",
-    "agreement": "agreement_corpus",
+
+
+class BackendSpec(NamedTuple):
+    """What a named backend is: the classes it scores, its input kind, the
+    config key of its pretrain corpus and the offset of its training seed."""
+
+    classes: tuple[str, ...]
+    input_kind: str
+    pretrain_corpus: str
+    seed_offset: int
+
+
+# Every backend name, in training order: the routed lie backend needs phase1.
+BACKEND_SPECS = {
+    "phase1": BackendSpec(CERTAINTY_CLASSES, INPUT_TEXT, "hedge_corpus", 0),
+    "lie": BackendSpec(LIE_CLASSES, INPUT_TEXT, "deception_corpus", 1),
+    "lie_unrouted": BackendSpec(LIE_CLASSES, INPUT_TEXT, "deception_corpus", 1),
+    "agreement": BackendSpec(STANCE_CLASSES, INPUT_PAIR, "agreement_corpus", 2),
 }
-BACKEND_NAMES = tuple(PRETRAIN_CORPUS)
+BACKEND_NAMES = tuple(BACKEND_SPECS)
 
 
 def _mode_backends(mode: str) -> dict[str, str]:
     if mode not in MODE_BACKENDS:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     return MODE_BACKENDS[mode]
-
-
-def required_backends(mode: str) -> tuple[str, ...]:
-    """Backend slots a mode touches, in training order."""
-    return tuple(_mode_backends(mode))
 
 
 def backend_name(mode: str, slot: str) -> str:
@@ -149,34 +149,23 @@ def backend_names(modes: Sequence[str]) -> list[str]:
     return [name for name in BACKEND_NAMES if name in used]
 
 
-@dataclass(frozen=True)
-class PipelineBackends:
-    """Trained backends for whichever channels the mode needs."""
-
-    phase1: Optional[ClassifierBackend] = None
-    lie: Optional[ClassifierBackend] = None
-    agreement: Optional[ClassifierBackend] = None
-
-    @classmethod
-    def for_mode(cls, mode: str, named: Mapping[str, ClassifierBackend]) -> "PipelineBackends":
-        """A mode's slots, filled from backends keyed by name."""
-        return cls(**{slot: named[name] for slot, name in _mode_backends(mode).items()})
-
-
 def classify(
-    conv: Conversation, config: PipelineConfig, backends: PipelineBackends
+    conv: Conversation, config: PipelineConfig, backends: Mapping[str, Optional[ClassifierBackend]]
 ) -> VeracityPrediction:
     """Route one conversation and return its veracity prediction.
 
-    The reply window (when set) prunes replies before agreement scoring;
-    thread text is never windowed, so the certainty and lie channels see
-    the conversation unchanged.
+    backends is keyed by name, as for score_grid(). The reply window (when
+    set) prunes replies before agreement scoring; thread text is never
+    windowed, so the certainty and lie channels see the conversation
+    unchanged.
     """
     return run_batch([conv], config, backends)[0]
 
 
 def run_batch(
-    convs: Sequence[Conversation], config: PipelineConfig, backends: PipelineBackends
+    convs: Sequence[Conversation],
+    config: PipelineConfig,
+    backends: Mapping[str, Optional[ClassifierBackend]],
 ) -> list[VeracityPrediction]:
     """One prediction per conversation, in input order; classify() on each.
 
@@ -184,9 +173,8 @@ def run_batch(
     with every conversation kept: a thread left with no primary reply in
     the window still gets a prediction (its agreement channel abstains).
     """
-    named = {name: getattr(backends, slot) for slot, name in _mode_backends(config.mode).items()}
     row = (config.mode, config.reply_window_days)
-    return next(score_grid(convs, [row], named, config.entropy_epsilon, keep_all=True)).predictions
+    return next(score_grid(convs, [row], backends, config.entropy_epsilon, keep_all=True)).predictions
 
 
 @dataclass(frozen=True)
@@ -275,12 +263,7 @@ def score_grid(
     }
 
     lie = {name: score(name, lambda i: [convs[i].thread.text_clean]) for name in ("lie", "lie_unrouted")}
-    stances = {
-        i: [StanceScore(p, softmax) for (p, _), softmax in zip(pairs[i], softmaxes)]
-        for i, softmaxes in score(
-            "agreement", lambda i: [(p.thread_text, p.reply_text) for p, _ in pairs[i]]
-        ).items()
-    }
+    stances = score("agreement", lambda i: [(p.thread_text, p.reply_text) for p, _ in pairs[i]])
 
     for (mode, days), limit, route in zip(rows, limits, routes):
         names = _mode_backends(mode)
@@ -327,8 +310,8 @@ def train_backend(
     corpus is the name's pretrain corpus: hedge sentences for phase1,
     deception texts for lie and lie_unrouted, agreement pairs for
     agreement. backend_factory(classes, input_kind, seed) must return a
-    fresh untrained backend; the seeds are seed, seed + 1 and seed + 2 for
-    phase1, the lie backends and agreement. phase1 self-labels the train
+    fresh untrained backend; classes, input kind and the offset added to
+    seed come from BACKEND_SPECS. phase1 self-labels the train
     split and fine-tunes on a balanced resample. lie fine-tunes on the
     binary-gold threads that routing, the trained phase1 backend's
     assign_all() of train_split, sends to it, and lie_unrouted (the
@@ -336,23 +319,21 @@ def train_backend(
     fine-tunes on every primary pair, which is already unrouted, so every
     mode shares it.
     """
+    if name not in BACKEND_SPECS:
+        raise ConfigError(f"backend name must be one of {BACKEND_NAMES}, got {name!r}")
+    if name == "lie" and routing is None:
+        raise UntrainedBackend("the routed lie backend needs the phase1 routing of the train split")
+    classes, input_kind, _, seed_offset = BACKEND_SPECS[name]
+    backend = backend_factory(classes, input_kind, seed + seed_offset)
     if name == "phase1":
-        backend = backend_factory(CERTAINTY_CLASSES, INPUT_TEXT, seed)
         recipes = (plan.phase1_pretrain, plan.phase1_finetune)
         return train_phase1(backend, corpus, train_split, *recipes, plan.phase1_per_class, seed)
-    if name in ("lie", "lie_unrouted"):
-        if name == "lie" and routing is None:
-            raise UntrainedBackend("the routed lie backend needs the phase1 routing of the train split")
-        pretrain, finetune = build_phase21_training(corpus, train_split, routing if name == "lie" else None)
-        classes, input_kind, seed = LIE_CLASSES, INPUT_TEXT, seed + 1
-        recipes = (plan.lie_pretrain, plan.lie_finetune)
-    elif name == "agreement":
+    if name == "agreement":
         pretrain, finetune = build_phase22_training(corpus, train_split)
-        classes, input_kind, seed = STANCE_CLASSES, INPUT_PAIR, seed + 2
         recipes = (plan.agreement_pretrain, plan.agreement_finetune)
     else:
-        raise ConfigError(f"backend name must be one of {BACKEND_NAMES}, got {name!r}")
-    backend = backend_factory(classes, input_kind, seed)
+        pretrain, finetune = build_phase21_training(corpus, train_split, routing if name == "lie" else None)
+        recipes = (plan.lie_pretrain, plan.lie_finetune)
     backend.fit(labeled_examples(pretrain, classes), recipes[0])
     if finetune:
         backend.fit(labeled_examples(finetune, classes), recipes[1])
@@ -379,15 +360,9 @@ def train_backends(
     }
     trained: dict[str, ClassifierBackend] = {}
     for name in sorted(set(names), key=BACKEND_NAMES.index):
-        corpus = corpora[PRETRAIN_CORPUS[name]]
+        corpus = corpora[BACKEND_SPECS[name].pretrain_corpus]
         routing = None
         if name == "lie" and "phase1" in trained:
             routing = assign_all(trained["phase1"], train_split)
         trained[name] = train_backend(name, train_split, corpus, backend_factory, plan, seed, routing)
     return trained
-
-
-def train_pipeline(mode: str, *args, **kwargs) -> PipelineBackends:
-    """train_backends() for the backends the mode uses (train_split,
-    corpora, factory, plan and seed as there), in their slots."""
-    return PipelineBackends.for_mode(mode, train_backends(backend_names([mode]), *args, **kwargs))

@@ -21,7 +21,7 @@ from .backends import (
     ClassifierBackend,
     TrainingRecipe,
 )
-from .errors import UntrainedBackend
+from .errors import ModelError, UntrainedBackend
 from .probs import ProbVector, smooth_labels
 
 DEFAULT_MODEL_NAME = "bert-base-uncased"
@@ -31,7 +31,7 @@ def _import_torch():
     try:
         import torch
     except ImportError as exc:
-        raise ImportError(
+        raise ModelError(
             "the transformer backend needs the optional extra: pip install 'rumorvet[transformer]'"
         ) from exc
     return torch
@@ -41,7 +41,7 @@ def _import_transformers():
     try:
         import transformers
     except ImportError as exc:
-        raise ImportError(
+        raise ModelError(
             "the transformer backend needs the optional extra: pip install 'rumorvet[transformer]'"
         ) from exc
     return transformers

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from rumorvet.certainty import CERTAINTY_CLASSES, ChannelAssignment
 from rumorvet.corpus import Conversation, Post, Reply, clean_text, filter_window
 from rumorvet.errors import UnparseableTimestamp, UntrainedBackend
+from rumorvet.pipeline import MODE_BACKENDS
 from rumorvet.predictions import (
     CHANNEL_AGREEMENT,
     CHANNEL_LIE,
@@ -274,19 +275,21 @@ def save_v1(backend, path) -> None:
 
 
 def classify_oracle(conv: Conversation, config, backends) -> VeracityPrediction:
-    """One thread through the double-channel rules, one predict() per input."""
+    """One thread through the double-channel rules, one predict() per input.
+    backends is keyed by name; MODE_BACKENDS gives the name in each slot."""
     eps = config.entropy_epsilon
+    slots = {slot: backends[name] for slot, name in MODE_BACKENDS[config.mode].items()}
     assignment = None
     if config.mode in ("single_lie", "single_agreement"):
         channel = CHANNEL_LIE if config.mode == "single_lie" else CHANNEL_AGREEMENT
     else:
-        p = backends.phase1.predict(conv.thread.text_clean)
+        p = slots["phase1"].predict(conv.thread.text_clean)
         label = CERTAINTY_CLASSES[p.argmax()]
         assignment = ChannelAssignment(conv.thread.id, label, p)
         certain = label == "certain"
         channel = CHANNEL_LIE if certain == (config.mode == "double") else CHANNEL_AGREEMENT
     if channel == CHANNEL_LIE:
-        p = backends.lie.predict(conv.thread.text_clean)
+        p = slots["lie"].predict(conv.thread.text_clean)
         pred = VeracityPrediction(
             conv.thread.id, decide(p, (TRUE, FALSE), eps), CHANNEL_LIE, None, p, self_entropy(p), 0
         )
@@ -294,7 +297,7 @@ def classify_oracle(conv: Conversation, config, backends) -> VeracityPrediction:
     if config.reply_window_days is not None:
         conv = filter_window(conv, config.reply_window_days)
     stances = [
-        backends.agreement.predict((conv.thread.text_clean, r.post.text_clean))
+        slots["agreement"].predict((conv.thread.text_clean, r.post.text_clean))
         for r in conv.replies
         if r.is_primary
     ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from rumorvet.backends import ReferenceBackend
-from rumorvet.pipeline import MODES, PipelineBackends, TrainingPlan, backend_names, train_backends
+from rumorvet.pipeline import MODE_BACKENDS, MODES, TrainingPlan, backend_names, train_backends
 from rumorvet.synthetic import SyntheticSpec, make_corpus
 
 
@@ -40,8 +40,8 @@ def named_backends(syn_corpus):
 
 @pytest.fixture(scope="session")
 def trained(named_backends):
-    """Trained backends per mode, shared across the suite (read-only)."""
-    return {mode: PipelineBackends.for_mode(mode, named_backends) for mode in MODES}
+    """Each mode's trained backends, keyed by name, shared across the suite (read-only)."""
+    return {mode: {name: named_backends[name] for name in MODE_BACKENDS[mode].values()} for mode in MODES}
 
 
 @pytest.fixture()

@@ -15,32 +15,22 @@ from pathlib import Path
 
 import pytest
 
-from rumorvet.agreement import StanceScore, aggregate, build_phase22_training
+from rumorvet.agreement import aggregate, build_phase22_training
 from rumorvet.backends import ReferenceBackend
-from rumorvet.corpus import (
-    ThreadReplyPair,
-    filter_window,
-    load_key_file,
-    load_split,
-)
+from rumorvet.corpus import filter_window, load_key_file, load_split
 from rumorvet.errors import DegenerateEvidence
-from rumorvet.evaluation import (
-    ConfusionMatrix,
-    average_primary_replies,
-    build_report,
-    metrics,
-    restrict_to_windowed,
-)
+from rumorvet.evaluation import ConfusionMatrix, build_report, metrics
 from rumorvet.pipeline import (
     MODE_DOUBLE,
     MODE_INVERSE,
     MODE_SINGLE_AGREEMENT,
     MODE_SINGLE_LIE,
-    PipelineBackends,
     PipelineConfig,
+    backend_names,
     classify,
     run_batch,
-    train_pipeline,
+    score_grid,
+    train_backends,
 )
 from rumorvet.predictions import CHANNEL_AGREEMENT, CHANNEL_LIE
 from rumorvet.probs import ProbVector, self_entropy
@@ -95,19 +85,18 @@ def test_criterion_2_entropy_formula():
     assert time.perf_counter() - start < 1.0
 
 
-def _stance(vals, i=0):
-    pair = ThreadReplyPair(thread_text="t", reply_text=f"r{i}", thread_id="t1")
-    return StanceScore(pair=pair, softmax=ProbVector(tuple(float(v) for v in vals)))
+def _stance(vals):
+    return ProbVector(tuple(float(v) for v in vals))
 
 
 def _check_against_oracle(softmaxes):
-    scores = [_stance(v, i) for i, v in enumerate(softmaxes)]
+    scores = [_stance(v) for v in softmaxes]
     expected = aggregate_oracle(softmaxes)
     if expected is None:
         with pytest.raises(DegenerateEvidence):
             aggregate(scores)
         return
-    got = aggregate(scores).normalized
+    got = aggregate(scores)
     assert abs(got[0] - float(expected[0])) <= 1e-12
     assert abs(got[1] - float(expected[1])) <= 1e-12
 
@@ -146,12 +135,12 @@ def test_criterion_3_aggregation_oracle():
             softmaxes.append(tuple(Fraction(w, total) for w in ws))
         if aggregate_oracle(softmaxes) is None:
             continue
-        scores = [_stance(v, i) for i, v in enumerate(softmaxes)]
-        base = aggregate(scores).normalized
+        scores = [_stance(v) for v in softmaxes]
+        base = aggregate(scores)
         shuffled = scores[:]
         rng.shuffle(shuffled)
-        perm = aggregate(shuffled).normalized
-        dup = aggregate(scores * rng.randint(2, 4)).normalized
+        perm = aggregate(shuffled)
+        dup = aggregate(scores * rng.randint(2, 4))
         assert abs(base[0] - perm[0]) <= 1e-12 and abs(base[1] - perm[1]) <= 1e-12
         assert abs(base[0] - dup[0]) <= 1e-12 and abs(base[1] - dup[1]) <= 1e-12
         checked += 1
@@ -192,9 +181,7 @@ def test_criterion_4_routing_properties():
             make_conv(f"t{i}", f"thread text {i}", [("a reply", 60, True)]) for i in range(n)
         ]
         table = {c.thread.text_clean: rng.choice(("certain", "uncertain")) for c in convs}
-        backends = PipelineBackends(
-            phase1=_TablePhase1(table), lie=lie, agreement=agreement_stub
-        )
+        backends = {"phase1": _TablePhase1(table), "lie": lie, "agreement": agreement_stub}
         double = {
             c.thread.id: classify(c, PipelineConfig(mode=MODE_DOUBLE), backends) for c in convs
         }
@@ -210,7 +197,7 @@ def test_criterion_4_routing_properties():
             expected = CHANNEL_LIE if table[c.thread.text_clean] == "certain" else CHANNEL_AGREEMENT
             assert d.channel == expected
 
-        singles = PipelineBackends(phase1=_Exploding(), lie=lie, agreement=agreement_stub)
+        singles = {"phase1": _Exploding(), "lie_unrouted": lie, "agreement": agreement_stub}
         probe = convs[0]
         assert classify(probe, PipelineConfig(mode=MODE_SINGLE_LIE), singles).channel == CHANNEL_LIE
         assert (
@@ -259,15 +246,13 @@ def test_criterion_6_dataset_dependent_checks():
     _, finetune_pairs = build_phase22_training([], train)
     assert len(finetune_pairs) == 2372
 
-    backends = PipelineBackends(
-        phase1=_Fixed((0.6, 0.4)), lie=_Fixed((0.8, 0.2)), agreement=_Fixed((0.5, 0.3, 0.2))
-    )
+    backends = {"phase1": _Fixed((0.6, 0.4)), "lie": _Fixed((0.8, 0.2)), "agreement": _Fixed((0.5, 0.3, 0.2))}
     preds = run_batch(test, PipelineConfig(mode=MODE_DOUBLE), backends)
     assert len(preds) == 81
 
-    windowed = restrict_to_windowed(test, 1)
-    assert len(windowed) == 78
-    assert average_primary_replies(windowed) == pytest.approx(11.96, abs=0.5)
+    [windowed] = score_grid(test, [(MODE_DOUBLE, 1)], backends)
+    assert len(windowed.predictions) == 78
+    assert sum(windowed.reply_counts) / len(windowed.reply_counts) == pytest.approx(11.96, abs=0.5)
 
 
 def test_criterion_7_synthetic_benchmark():
@@ -279,8 +264,8 @@ def test_criterion_7_synthetic_benchmark():
     golds = corpus.gold("test")
     scores = {}
     for mode in (MODE_DOUBLE, MODE_SINGLE_LIE, MODE_SINGLE_AGREEMENT):
-        backends = train_pipeline(
-            mode,
+        backends = train_backends(
+            backend_names([mode]),
             list(corpus.train),
             list(corpus.hedge),
             list(corpus.deception),

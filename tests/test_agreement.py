@@ -10,15 +10,12 @@ from rumorvet.agreement import (
     STANCE_CLASSES,
     STANCE_DISAGREE,
     STANCE_NONE,
-    AggregateScore,
-    StanceScore,
     aggregate,
     build_phase22_training,
     classify_agreement,
     load_agreement_corpus,
     score_pairs,
 )
-from rumorvet.corpus import ThreadReplyPair
 from rumorvet.errors import CorpusFormatError, DegenerateEvidence, EmptyEvidence
 from rumorvet.predictions import (
     CHANNEL_AGREEMENT,
@@ -30,68 +27,60 @@ from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector
 from ._support import aggregate_oracle, make_conv, rational_softmaxes
 
 
-def _score(vals, thread_id="t1", reply_id="r1"):
-    pair = ThreadReplyPair(thread_text="t", reply_text=reply_id, thread_id=thread_id)
-    return StanceScore(pair=pair, softmax=ProbVector(vals))
+def _score(vals):
+    return ProbVector(vals)
 
 
 class TestStanceScore:
     def test_requires_three_components(self):
         with pytest.raises(ValueError):
-            _score((0.5, 0.5))
+            aggregate([_score((0.5, 0.3, 0.2)), _score((0.5, 0.5))])
 
 
 class TestAggregate:
     def test_matches_hand_value(self):
         # (0.6, 0.2) + (0.1, 0.5) -> (0.7, 0.7) -> (0.5, 0.5)
-        agg = aggregate([_score((0.6, 0.2, 0.2)), _score((0.1, 0.5, 0.4), reply_id="r2")])
-        assert agg.normalized == ProbVector((0.5, 0.5))
-        assert agg.n_replies == 2
-        assert agg.thread_id == "t1"
+        assert aggregate([_score((0.6, 0.2, 0.2)), _score((0.1, 0.5, 0.4))]) == ProbVector((0.5, 0.5))
 
     def test_none_mass_discarded(self):
         # Heavy none mass must not dilute the agree/disagree ratio.
-        a = aggregate([_score((0.08, 0.02, 0.90))]).normalized
-        b = aggregate([_score((0.80, 0.20, 0.00))]).normalized
+        a = aggregate([_score((0.08, 0.02, 0.90))])
+        b = aggregate([_score((0.80, 0.20, 0.00))])
         assert a.values == pytest.approx(b.values, abs=1e-12)
 
     def test_empty(self):
         with pytest.raises(EmptyEvidence):
             aggregate([])
 
-    def test_multiple_threads(self):
-        with pytest.raises(ValueError):
-            aggregate([_score((0.5, 0.3, 0.2)), _score((0.5, 0.3, 0.2), thread_id="t2")])
-
     def test_all_none_mass_degenerate(self):
         with pytest.raises(DegenerateEvidence):
-            aggregate([_score((0.0, 0.0, 1.0)), _score((0.0, 0.0, 1.0), reply_id="r2")])
+            aggregate([_score((0.0, 0.0, 1.0)), _score((0.0, 0.0, 1.0))])
 
     @given(st.lists(rational_softmaxes(), min_size=1, max_size=6))
     def test_matches_exact_rational_oracle(self, softmaxes):
-        scores = [_score(vals, reply_id=f"r{i}") for i, vals in enumerate(softmaxes)]
+        scores = [_score(vals) for vals in softmaxes]
         expected = aggregate_oracle(softmaxes)
         if expected is None:
             with pytest.raises(DegenerateEvidence):
                 aggregate(scores)
         else:
-            got = aggregate(scores).normalized
+            got = aggregate(scores)
             assert got.values[0] == pytest.approx(expected[0], abs=1e-12)
             assert got.values[1] == pytest.approx(expected[1], abs=1e-12)
 
     @given(st.lists(rational_softmaxes(), min_size=1, max_size=6))
     def test_permutation_invariant(self, softmaxes):
-        scores = [_score(vals, reply_id=f"r{i}") for i, vals in enumerate(softmaxes)]
+        scores = [_score(vals) for vals in softmaxes]
         if aggregate_oracle(softmaxes) is None:
             return
-        forward = aggregate(scores).normalized
-        backward = aggregate(list(reversed(scores))).normalized
+        forward = aggregate(scores)
+        backward = aggregate(list(reversed(scores)))
         assert forward.values == pytest.approx(backward.values, abs=1e-12)
 
     def test_duplication_invariant(self):
         # Summing then normalizing makes k copies of one score a no-op.
-        one = aggregate([_score((0.5, 0.3, 0.2))]).normalized
-        three = aggregate([_score((0.5, 0.3, 0.2), reply_id=f"r{i}") for i in range(3)]).normalized
+        one = aggregate([_score((0.5, 0.3, 0.2))])
+        three = aggregate([_score((0.5, 0.3, 0.2)) for _ in range(3)])
         assert one.values == pytest.approx(three.values, abs=1e-12)
 
 
@@ -145,7 +134,7 @@ class TestClassifyAgreement:
     def test_score_pairs_reply_order(self):
         backend = _FixedBackend({"x": (0.5, 0.3, 0.2), "y": (0.2, 0.3, 0.5)})
         scores = score_pairs(self._conv("x", "y"), backend)
-        assert [s.pair.reply_text for s in scores] == ["x", "y"]
+        assert scores == [ProbVector((0.5, 0.3, 0.2)), ProbVector((0.2, 0.3, 0.5))]
 
 
 class TestBuildTraining:

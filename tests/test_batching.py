@@ -3,7 +3,7 @@
 import pytest
 
 from rumorvet.certainty import assign_all, self_label
-from rumorvet.pipeline import MODES, PipelineBackends, PipelineConfig, run_batch
+from rumorvet.pipeline import MODE_BACKENDS, MODES, PipelineConfig, run_batch
 
 from ._support import CountingBackend, OracleBackend, classify_oracle, payload_v1, spread_reply_ages
 
@@ -16,12 +16,7 @@ def test_convs(syn_corpus):
 
 
 def _oracles(backends):
-    return PipelineBackends(
-        **{
-            slot: None if b is None else OracleBackend.from_payload(payload_v1(b))
-            for slot, b in vars(backends).items()
-        }
-    )
+    return {name: OracleBackend.from_payload(payload_v1(b)) for name, b in backends.items()}
 
 
 @pytest.mark.parametrize("window", WINDOWS)
@@ -39,22 +34,21 @@ def test_run_batch_equals_per_thread_oracle(trained, test_convs, mode, window):
 @pytest.mark.parametrize("mode", MODES)
 def test_one_backend_call_per_stage(trained, test_convs, mode, copies):
     convs = test_convs * copies
-    counting = PipelineBackends(
-        **{slot: b and CountingBackend(b) for slot, b in vars(trained[mode]).items()}
-    )
+    counting = {name: CountingBackend(b) for name, b in trained[mode].items()}
     preds = run_batch(convs, PipelineConfig(mode=mode, reply_window_days=3), counting)
     assert len(preds) == len(convs)
     channels = {p.channel for p in preds}
-    if counting.phase1 is not None:
-        assert counting.phase1.batches == [len(convs)]
-    assert len(counting.lie.batches if counting.lie else []) == ("lie" in channels)
+    slots = {slot: counting[name] for slot, name in MODE_BACKENDS[mode].items()}
+    if "phase1" in slots:
+        assert slots["phase1"].batches == [len(convs)]
+    assert len(slots["lie"].batches if "lie" in slots else []) == ("lie" in channels)
     if "agreement" in channels:
         n_pairs = sum(p.n_replies_used for p in preds if p.channel == "agreement")
-        assert counting.agreement.batches == ([n_pairs] if n_pairs else [])
+        assert slots["agreement"].batches == ([n_pairs] if n_pairs else [])
 
 
 def test_router_helpers_batch(trained, test_convs):
-    phase1 = CountingBackend(trained["double"].phase1)
+    phase1 = CountingBackend(trained["double"]["phase1"])
     assignments = assign_all(phase1, test_convs)
     labels = self_label(phase1, test_convs)
     assert phase1.batches == [len(test_convs)] * 2

@@ -1,16 +1,24 @@
 """End-to-end command-line runs against a materialized benchmark."""
 
+import contextlib
+import io
 import json
+import math
 import shutil
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumorvet.agreement import load_agreement_corpus
 from rumorvet.backends import ReferenceBackend, save_model
 from rumorvet.certainty import assign_all, load_hedge_corpus
 from rumorvet import cli, pipeline
 from rumorvet.cli import main
-from rumorvet.config import load_config
+from rumorvet.config import _STAGES, load_config
 from rumorvet.corpus import load_conversations_jsonl, load_key_file, load_split
 from rumorvet.lie import load_deception_corpus
 from rumorvet.pipeline import BACKEND_NAMES, train_backend
@@ -589,3 +597,75 @@ class TestExitCodes:
         assert rc == 1
         assert flags[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source,victim", [("agreement", "phase1"), ("phase1", "lie")])
+    def test_model_in_wrong_slot_exits_3(self, ws, tmp_path, capsys, source, victim):
+        models = tmp_path / "models"
+        shutil.copytree(ws["models"], models)
+        shutil.copy(models / f"{source}.json", models / f"{victim}.json")
+        rc = main(["classify", ws["test_dir"], "--model-dir", str(models), "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{victim}.json" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags,line,named",
+        [
+            (["--seed", "-1"], None, "seed"),
+            ([], "phase1_per_class = -1", "phase1_per_class"),
+            ([], "lie_finetune_epochs = 0", "lie_finetune recipe: epochs"),
+            ([], "agreement_pretrain_label_smoothing = 1.5", "agreement_pretrain recipe: label_smoothing"),
+            ([], "phase1_pretrain_batch_size = 0", "phase1_pretrain recipe: batch_size"),
+        ],
+    )
+    def test_bad_numeric_config_is_usage_error(self, ws, tmp_path, capsys, flags, line, named):
+        rc = main(["train", "--config", str(_config_with(ws, tmp_path, line)), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert named in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "models").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bad_recipe_value_is_usage_error(self, ws, data):
+        stage = data.draw(st.sampled_from(_STAGES))
+        field = data.draw(st.sampled_from(["epochs", "batch_size", "learning_rate", "label_smoothing"]))
+        bad = {
+            "epochs": st.integers(max_value=0) | st.just(2.5),
+            "batch_size": st.integers(max_value=0) | st.just("many"),
+            "learning_rate": st.floats(max_value=0.0) | st.just("fast"),
+            "label_smoothing": st.floats(max_value=0.0, exclude_max=True)
+            | st.floats(min_value=1.0)
+            | st.just(math.nan),
+        }[field]
+        value = data.draw(bad)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _config_with(ws, Path(tmp), f"{stage}_{field} = {value}")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["train", "--config", str(cfg), "--phase", "1"])
+            assert not (Path(tmp) / "models").exists()
+        assert rc == 1
+        assert stage in err.getvalue() and len(err.getvalue().splitlines()) == 1
+
+    def test_transformer_without_extra_exits_3(self, ws, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "torch", None)  # import torch now fails
+        cfg = _config_with(ws, tmp_path, None)
+        rc = main(["train", "--config", str(cfg), "--phase", "1", "--backend", "transformer"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "optional extra" in err and len(err.splitlines()) == 1
+
+
+def _config_with(ws, tmp_path: Path, line) -> Path:
+    """The workspace config with its model dir under tmp_path, and line
+    (key = value) in place of that key's line."""
+    lines = (ws["root"] / "run.cfg").read_text(encoding="utf-8").splitlines()
+    lines = [l for l in lines if not l.startswith("model_dir")]
+    if line is not None:
+        key = line.split("=")[0].strip()
+        lines = [l for l in lines if l.split("=")[0].strip() != key] + [line]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join([*lines, f"model_dir = {tmp_path / 'models'}"]) + "\n", encoding="utf-8")
+    return cfg

@@ -274,7 +274,7 @@ class TestPrimaryPairs:
         )
         pairs = primary_pairs(conv)
         assert [p.reply_text for p in pairs] == ["first", "second"]
-        assert all(p.thread_id == "t1" for p in pairs)
+        assert all(p.thread_text == "a thread" for p in pairs)
 
     def test_no_primary_replies(self):
         assert primary_pairs(make_conv()) == []

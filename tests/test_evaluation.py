@@ -15,12 +15,10 @@ from rumorvet.errors import EmptyMatrix, IdMismatch
 from rumorvet.evaluation import (
     REPORT_NOTES,
     ConfusionMatrix,
-    average_primary_replies,
     build_report,
     confusion,
     metrics,
     render_reports,
-    report_grid,
     reports_to_json,
     restrict_to_windowed,
 )
@@ -65,14 +63,6 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             ConfusionMatrix(counts)
 
-    def test_add(self):
-        total = WORKED + WORKED
-        assert total.counts == tuple(tuple(2 * v for v in row) for row in WORKED.counts)
-
-    def test_add_class_mismatch(self):
-        other = ConfusionMatrix(((1, 0), (0, 1)), classes=("a", "b"))
-        with pytest.raises(ValueError):
-            WORKED + other
 
 
 def _pred(tid, label):
@@ -137,7 +127,8 @@ class TestConfusion:
             preds = {i: table[i][1] for i in chunk}
             parts.append(confusion(preds, golds))
         whole = confusion({i: t[1] for i, t in table.items()}, {i: t[0] for i, t in table.items()})
-        assert parts[0] + parts[1] == whole
+        summed = [[a + b for a, b in zip(r0, r1)] for r0, r1 in zip(parts[0].counts, parts[1].counts)]
+        assert summed == [list(row) for row in whole.counts]
 
 
 class TestMetrics:
@@ -236,13 +227,6 @@ class TestWindowedSubset:
     def test_wider_window_recovers_threads(self):
         assert [c.thread.id for c in restrict_to_windowed(self.CONVS, 5)] == ["a", "b", "c"]
 
-    def test_average_counts_only_nonempty(self):
-        assert average_primary_replies(self.CONVS) == pytest.approx(1.0)
-
-    def test_average_none_when_no_replies(self):
-        assert average_primary_replies([make_conv("d", "x")]) is None
-        assert average_primary_replies([]) is None
-
 
 class TestReports:
     GOLDS = {"a": TRUE, "b": FALSE}
@@ -250,7 +234,7 @@ class TestReports:
 
     def test_build_report_fields(self):
         cfg = PipelineConfig(mode="double")
-        rep = build_report(cfg, self.PREDS, self.GOLDS, conversations=[make_conv("a", "x", [("r", 1, True)])])
+        rep = build_report(cfg, self.PREDS, self.GOLDS, reply_counts=[1, 0])
         assert rep.n_threads == 2
         assert rep.accuracy == pytest.approx(0.5)
         assert rep.avg_replies == pytest.approx(1.0)
@@ -271,18 +255,6 @@ class TestReports:
         assert lines[0].startswith("# ") and lines[1].startswith("# ")
         assert any(line.startswith("double ") for line in lines)
         assert any(line.startswith("double/3d") for line in lines)
-
-    def test_report_grid_mixed_tuples(self):
-        cfg = PipelineConfig(mode="double")
-        convs = [make_conv("a", "x", [("r", 1, True)]), make_conv("b", "x")]
-        text = report_grid(
-            [(cfg, self.PREDS, self.GOLDS), (cfg, self.PREDS, self.GOLDS, convs)]
-        )
-        assert "1.00" in text
-
-    def test_report_grid_empty(self):
-        with pytest.raises(ValueError):
-            report_grid([])
 
     def test_json_round_trip(self):
         cfg = PipelineConfig(mode="inverse")

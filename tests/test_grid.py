@@ -15,14 +15,7 @@ from rumorvet import cli
 from rumorvet.backends import load_model, save_model
 from rumorvet.corpus import gold_labels, save_conversations_jsonl
 from rumorvet.evaluation import build_report, restrict_to_windowed
-from rumorvet.pipeline import (
-    MODES,
-    PipelineBackends,
-    PipelineConfig,
-    backend_names,
-    train_backends,
-    train_pipeline,
-)
+from rumorvet.pipeline import MODE_BACKENDS, MODES, PipelineConfig, backend_names, train_backends
 from rumorvet.predictions import load_predictions_jsonl
 
 from .conftest import reference_factory
@@ -32,16 +25,11 @@ WINDOWS = (None, 1, 3, 5)
 
 
 @pytest.fixture(scope="module")
-def grid_ws(tmp_path_factory, trained, syn_corpus):
+def grid_ws(tmp_path_factory, named_backends, syn_corpus):
     """Model files for every grid backend and a test JSONL with spread reply ages."""
     root = tmp_path_factory.mktemp("grid")
     (root / "models").mkdir()
-    for name, backend in (
-        ("phase1", trained["double"].phase1),
-        ("lie", trained["double"].lie),
-        ("lie_unrouted", trained["single_lie"].lie),
-        ("agreement", trained["double"].agreement),
-    ):
+    for name, backend in named_backends.items():
         save_model(backend, root / "models" / f"{name}.json")
     # Every window keeps a different, non-empty thread set.
     convs = [spread_reply_ages(c, 17 * k) for k, c in enumerate(syn_corpus.test)]
@@ -61,10 +49,8 @@ def _evaluate_grid(root: Path, out: Path) -> int:
     )
 
 
-def _oracles(backends: PipelineBackends) -> PipelineBackends:
-    return PipelineBackends(
-        **{slot: b and OracleBackend.from_payload(payload_v1(b)) for slot, b in vars(backends).items()}
-    )
+def _oracles(backends: dict) -> dict:
+    return {name: OracleBackend.from_payload(payload_v1(b)) for name, b in backends.items()}
 
 
 def _without_config(report: dict) -> dict:
@@ -87,9 +73,9 @@ def test_grid_rows_equal_restrict_then_per_thread_oracle(grid_ws, trained, tmp_p
             expected = [classify_oracle(c, config, oracles) for c in kept]
             slug = mode if window is None else f"{mode}-{window}d"
             assert load_predictions_jsonl(out / f"predictions-{slug}.jsonl") == expected
-            want = build_report(
-                config, expected, {c.thread.id: golds[c.thread.id] for c in kept}, conversations=kept
-            ).to_dict()
+            kept_golds = {c.thread.id: golds[c.thread.id] for c in kept}
+            counts = [len(c.primary_replies()) for c in kept]
+            want = build_report(config, expected, kept_golds, reply_counts=counts).to_dict()
             got = reports.pop(0)
             assert _without_config(got) == _without_config(want)
             assert (got["config"]["mode"], got["config"]["reply_window_days"]) == (mode, window)
@@ -127,12 +113,11 @@ def test_grid_training_builds_four_backends(syn_corpus, named_backends):
     for name, backend in grid.items():
         assert backend.payload() == named_backends[name].payload()
     # Each mode trained on its own gets the same models the grid shares.
-    def payloads(backends):
-        return {slot: b.payload() for slot, b in vars(backends).items() if b is not None}
-
     for mode in MODES:
-        alone = train_pipeline(mode, list(syn_corpus.train), *corpora, reference_factory)
-        assert payloads(alone) == payloads(PipelineBackends.for_mode(mode, grid))
+        alone = train_backends(backend_names([mode]), list(syn_corpus.train), *corpora, reference_factory)
+        assert {name: b.payload() for name, b in alone.items()} == {
+            name: grid[name].payload() for name in MODE_BACKENDS[mode].values()
+        }
 
 
 def test_empty_window_row_is_reported_not_fatal(grid_ws, syn_corpus, tmp_path):

@@ -109,17 +109,6 @@ class TestBuildTraining:
         _, finetune = build_phase21_training([], convs, _assignments(a=CERTAIN))
         assert finetune == [("alpha", TRUE)]
 
-    def test_plain_label_mapping_accepted(self):
-        _, finetune = build_phase21_training(
-            [], self.CONVS, {"a": CERTAIN, "b": CERTAIN, "c": UNCERTAIN, "d": UNCERTAIN}
-        )
-        assert finetune == [("alpha text", TRUE), ("beta text", FALSE)]
-
-    def test_sequence_of_assignments_accepted(self):
-        phase1 = list(_assignments(a=CERTAIN, b=UNCERTAIN, c=CERTAIN, d=UNCERTAIN).values())
-        _, finetune = build_phase21_training([], self.CONVS, phase1)
-        assert finetune == [("alpha text", TRUE)]
-
     def test_empty_finetune_warns(self, caplog):
         phase1 = _assignments(a=UNCERTAIN, b=UNCERTAIN, c=UNCERTAIN, d=UNCERTAIN)
         with caplog.at_level("WARNING", logger="rumorvet.lie"):

@@ -5,15 +5,15 @@ import pytest
 from rumorvet.certainty import CERTAIN, UNCERTAIN
 from rumorvet.errors import ConfigError, UntrainedBackend
 from rumorvet.pipeline import (
+    BACKEND_SPECS,
     MODE_DOUBLE,
     MODE_INVERSE,
     MODE_SINGLE_AGREEMENT,
     MODE_SINGLE_LIE,
     MODES,
-    PipelineBackends,
     PipelineConfig,
+    backend_names,
     classify,
-    required_backends,
     run_batch,
 )
 from rumorvet.predictions import CHANNEL_AGREEMENT, CHANNEL_LIE
@@ -40,11 +40,11 @@ class ExplodingBackend:
 
 
 def _stubs():
-    """phase1 keys on the word 'sure'; lie says true; agreement says true."""
+    """phase1 keys on the word 'sure'; both lie backends say true; agreement says true."""
     phase1 = StubBackend(lambda t: (0.9, 0.1) if "sure" in t else (0.1, 0.9))
     lie = StubBackend(lambda t: (0.8, 0.2))
     agreement = StubBackend(lambda pair: (0.7, 0.1, 0.2))
-    return PipelineBackends(phase1=phase1, lie=lie, agreement=agreement)
+    return {"phase1": phase1, "lie": lie, "lie_unrouted": lie, "agreement": agreement}
 
 
 CERTAIN_CONV = make_conv("tc", "sure thing", [("r", 60, True)])
@@ -79,14 +79,15 @@ class TestPipelineConfig:
 
 class TestRequiredBackends:
     def test_table(self):
-        assert required_backends(MODE_DOUBLE) == ("phase1", "lie", "agreement")
-        assert required_backends(MODE_INVERSE) == ("phase1", "lie", "agreement")
-        assert required_backends(MODE_SINGLE_LIE) == ("lie",)
-        assert required_backends(MODE_SINGLE_AGREEMENT) == ("agreement",)
+        assert backend_names([MODE_DOUBLE]) == ["phase1", "lie", "agreement"]
+        assert backend_names([MODE_INVERSE]) == ["phase1", "lie", "agreement"]
+        assert backend_names([MODE_SINGLE_LIE]) == ["lie_unrouted"]
+        assert backend_names([MODE_SINGLE_AGREEMENT]) == ["agreement"]
+        assert backend_names(MODES) == ["phase1", "lie", "lie_unrouted", "agreement"]
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
-            required_backends("triple")
+            backend_names(["triple"])
 
 
 class TestRouting:
@@ -112,15 +113,13 @@ class TestRouting:
         assert pred.assignment.label == CERTAIN
 
     def test_single_lie_skips_phase1(self):
-        backends = PipelineBackends(phase1=ExplodingBackend(), lie=StubBackend(lambda t: (0.8, 0.2)))
+        backends = {"phase1": ExplodingBackend(), "lie_unrouted": StubBackend(lambda t: (0.8, 0.2))}
         pred = classify(UNCERTAIN_CONV, PipelineConfig(mode=MODE_SINGLE_LIE), backends)
         assert pred.channel == CHANNEL_LIE
         assert pred.assignment is None
 
     def test_single_agreement_skips_phase1(self):
-        backends = PipelineBackends(
-            phase1=ExplodingBackend(), agreement=StubBackend(lambda p: (0.7, 0.1, 0.2))
-        )
+        backends = {"phase1": ExplodingBackend(), "agreement": StubBackend(lambda p: (0.7, 0.1, 0.2))}
         pred = classify(CERTAIN_CONV, PipelineConfig(mode=MODE_SINGLE_AGREEMENT), backends)
         assert pred.channel == CHANNEL_AGREEMENT
         assert pred.assignment is None
@@ -135,11 +134,11 @@ class TestRouting:
     )
     def test_missing_backend_slot(self, mode, missing):
         with pytest.raises(UntrainedBackend) as exc:
-            classify(CERTAIN_CONV, PipelineConfig(mode=mode), PipelineBackends())
+            classify(CERTAIN_CONV, PipelineConfig(mode=mode), {})
         assert missing in str(exc.value)
 
     def test_missing_routed_channel_backend(self):
-        backends = PipelineBackends(phase1=StubBackend(lambda t: (0.9, 0.1)))
+        backends = {"phase1": StubBackend(lambda t: (0.9, 0.1))}
         with pytest.raises(UntrainedBackend) as exc:
             classify(CERTAIN_CONV, PipelineConfig(mode=MODE_DOUBLE), backends)
         assert "lie" in str(exc.value)
@@ -161,9 +160,9 @@ class TestWindows:
         backends = _stubs()
         cfg = PipelineConfig(mode=MODE_DOUBLE, reply_window_days=1)
         classify(make_conv("tc", "sure thing", [("r", 9 * 86400, True)]), cfg, backends)
-        assert backends.phase1.calls == ["sure thing"]
-        assert backends.lie.calls == ["sure thing"]
-        assert backends.agreement.calls == []
+        assert backends["phase1"].calls == ["sure thing"]
+        assert backends["lie"].calls == ["sure thing"]
+        assert backends["agreement"].calls == []
 
     def test_windowed_out_crowd_abstains(self):
         cfg = PipelineConfig(mode=MODE_SINGLE_AGREEMENT, reply_window_days=1)
@@ -185,10 +184,9 @@ class TestRunBatch:
 class TestTrainPipeline:
     def test_slots_match_mode(self, trained):
         for mode in MODES:
-            backends = trained[mode]
-            for slot in ("phase1", "lie", "agreement"):
-                present = getattr(backends, slot) is not None
-                assert present == (slot in required_backends(mode))
+            assert list(trained[mode]) == backend_names([mode])
+            for name, backend in trained[mode].items():
+                assert (backend.classes, backend.input_kind) == BACKEND_SPECS[name][:2]
 
     def test_benchmark_ordering(self, syn_corpus, trained):
         from rumorvet.evaluation import build_report
@@ -209,12 +207,12 @@ class TestTrainPipeline:
             assert all(p.label in VERACITY for p in preds)
 
     def test_retraining_is_deterministic(self, syn_corpus, trained):
-        from rumorvet.pipeline import train_pipeline
+        from rumorvet.pipeline import train_backends
 
         from .conftest import reference_factory
 
-        again = train_pipeline(
-            MODE_SINGLE_LIE,
+        again = train_backends(
+            backend_names([MODE_SINGLE_LIE]),
             list(syn_corpus.train),
             list(syn_corpus.hedge),
             list(syn_corpus.deception),
@@ -222,9 +220,9 @@ class TestTrainPipeline:
             reference_factory,
             seed=0,
         )
-        assert again.lie.payload() == trained[MODE_SINGLE_LIE].lie.payload()
+        assert again["lie_unrouted"].payload() == trained[MODE_SINGLE_LIE]["lie_unrouted"].payload()
 
     def test_single_lie_differs_from_routed_lie(self, trained):
         # The unrouted retrain sees more fine-tune threads, so the weights
         # must not coincide with the double-mode detector's.
-        assert trained[MODE_SINGLE_LIE].lie.payload() != trained[MODE_DOUBLE].lie.payload()
+        assert trained[MODE_SINGLE_LIE]["lie_unrouted"].payload() != trained[MODE_DOUBLE]["lie"].payload()
