@@ -82,6 +82,8 @@ def clean_text(raw: str) -> str:
     or when it starts with 'http' in any casing. The whole token goes, not
     just the marker, since fragments distort short thread texts.
     """
+    if "#" not in raw and "http" not in raw.lower():
+        return " ".join(raw.split())  # no token can be dropped
     kept = [
         tok
         for tok in raw.split()
@@ -108,15 +110,22 @@ def parse_timestamp(value) -> datetime:
         text = value.strip()
         if not text:
             raise UnparseableTimestamp("empty timestamp")
+        # ISO is tried once, first: no string is both aware ISO and a float,
+        # and what the JSONL dump writes comes back as is. A naive ISO
+        # string may be an epoch ("20150107"), so the float goes first there.
+        try:
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        except ValueError:
+            dt = None
+        if dt is not None and dt.tzinfo is not None:
+            if dt.tzinfo is timezone.utc and not dt.microsecond:
+                return dt
+            return dt.astimezone(timezone.utc).replace(microsecond=0)
         try:
             return parse_timestamp(float(text))
         except (ValueError, UnparseableTimestamp):
             pass
-        # ISO before Twitter: no string matches both (ISO starts with a digit,
-        # the Twitter format with a weekday name), and ISO is the cheap one.
-        try:
-            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        except ValueError:
+        if dt is None:  # ISO before Twitter: no string matches both
             try:
                 dt = datetime.strptime(text, _TWITTER_TIME_FORMAT)
             except ValueError as exc:
@@ -165,6 +174,9 @@ def post_from_json(obj: dict, fallback_id: str | None = None) -> Post:
     else:
         platform = PLATFORM_TWITTER
 
+    for key in ("full_text", "text", "title", "selftext", "body"):
+        if inner.get(key) is not None and not isinstance(inner[key], str):
+            raise MalformedStructure(f"post {raw_id}: {key} must be a string, not {type(inner[key]).__name__}")
     text = inner.get("full_text") or inner.get("text")
     if text is None:
         parts = [inner.get("title"), inner.get("selftext"), inner.get("body")]
@@ -299,8 +311,14 @@ def _read_json(path: str, digests: dict[str, str] | None = None):
     record their sha256 under path. A file that cannot be read, or is not
     UTF-8 JSON, is a MalformedStructure."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fd = os.open(path, os.O_RDONLY)  # under half of open()'s cost per small file
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        data = b"".join(chunks)
         if digests is not None:
             digests[path] = hashlib.sha256(data).hexdigest()
         return json.loads(data.decode("utf-8"))
@@ -416,13 +434,21 @@ def post_to_dict(post: Post) -> dict:
     }
 
 
+def _typed(obj: dict, key: str, kind: type):
+    """obj[key], which the dump wrote as a kind; TypeError otherwise."""
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def post_from_dict(obj: dict) -> Post:
     return Post(
-        id=obj["id"],
-        text_raw=obj["text_raw"],
-        text_clean=obj["text_clean"],
+        id=_typed(obj, "id", str),
+        text_raw=_typed(obj, "text_raw", str),
+        text_clean=_typed(obj, "text_clean", str),
         created_at=parse_timestamp(obj["created_at"]),
-        platform=obj["platform"],
+        platform=_typed(obj, "platform", str),
     )
 
 
@@ -447,12 +473,12 @@ def conversation_from_dict(obj: dict) -> Conversation:
         replies=tuple(
             Reply(
                 post=post_from_dict(r["post"]),
-                parent_id=r["parent_id"],
+                parent_id=_typed(r, "parent_id", str),
                 is_primary=bool(r["is_primary"]),
             )
-            for r in obj["replies"]
+            for r in _typed(obj, "replies", list)
         ),
-        gold_label=obj.get("gold_label"),
+        gold_label=None if obj.get("gold_label") is None else _typed(obj, "gold_label", str),
     )
 
 

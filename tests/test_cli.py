@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from rumorvet.certainty import assign_all, load_hedge_corpus
 from rumorvet import cli, pipeline
 from rumorvet.cli import main
 from rumorvet.config import _STAGES, load_config
-from rumorvet.corpus import load_conversations_jsonl, load_key_file, load_split
+from rumorvet.corpus import conversation_to_dict, load_conversations_jsonl, load_key_file, load_split
 from rumorvet.lie import load_deception_corpus
 from rumorvet.pipeline import BACKEND_NAMES, train_backend
 from rumorvet.predictions import load_predictions_jsonl
@@ -31,6 +32,11 @@ from ._support import CountingBackend, sha256_tree_oracle
 SPEC = SyntheticSpec(
     n_train_per_cell=5, n_test_per_cell=2, replies_per_thread=3, pretrain_per_class=12
 )
+
+
+_POST_STRINGS = ("id", "text_raw", "text_clean", "platform")
+_SCALARS = st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_DICTS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
 
 
 @pytest.fixture(scope="module")
@@ -234,14 +240,17 @@ class TestClassify:
         shutil.copytree(ws["test_dir"], data)
         (data / "README").write_text("not a post\n", encoding="utf-8")
         opened = []
-        real_open = open
 
-        def counting_open(file, *args, **kwargs):
-            opened.append(str(file))
-            return real_open(file, *args, **kwargs)
+        def counting(real):
+            def counting_open(file, *args, **kwargs):
+                opened.append(str(file))
+                return real(file, *args, **kwargs)
 
-        monkeypatch.setattr("builtins.open", counting_open)
-        monkeypatch.setattr("io.open", counting_open)
+            return counting_open
+
+        monkeypatch.setattr("builtins.open", counting(open))
+        monkeypatch.setattr("io.open", counting(open))
+        monkeypatch.setattr("os.open", counting(os.open))
         out = tmp_path / "preds.jsonl"
         assert main(["classify", str(data), "--config", ws["cfg"], "--out", str(out)]) == 0
         monkeypatch.undo()
@@ -499,6 +508,34 @@ class TestExitCodes:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_mistyped_jsonl_field_is_data_error(self, ws, data):
+        """A field the dump writes as a string, or replies as a list, holding
+        another JSON type is a data error naming the line."""
+        records = [conversation_to_dict(c) for c in load_split(ws["test_dir"])]
+        lineno = data.draw(st.integers(1, len(records)))
+        record = records[lineno - 1]
+        slots = [(record["thread"], key) for key in _POST_STRINGS]
+        slots += [(record, "gold_label"), (record, "replies")]
+        for reply in record["replies"][:1]:
+            slots += [(reply["post"], key) for key in _POST_STRINGS] + [(reply, "parent_id")]
+        target, key = data.draw(st.sampled_from(slots))
+        if key == "replies":
+            wrong = st.none() | _SCALARS | st.text(max_size=3) | _DICTS
+        else:
+            wrong = _SCALARS | st.lists(st.integers(), max_size=2) | _DICTS
+            wrong |= st.nothing() if key == "gold_label" else st.none()
+        target[key] = data.draw(wrong)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "bad.jsonl"
+            bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["classify", str(bad), "--config", ws["cfg"], "--out", str(Path(tmp) / "p.jsonl")])
+        assert rc == 2, err.getvalue()
+        assert f"line {lineno} " in err.getvalue() and len(err.getvalue().splitlines()) == 1
+
     def test_empty_corpus_is_data_error(self, ws, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -634,7 +671,8 @@ class TestExitCodes:
         bad = {
             "epochs": st.integers(max_value=0) | st.just(2.5),
             "batch_size": st.integers(max_value=0) | st.just("many"),
-            "learning_rate": st.floats(max_value=0.0) | st.just("fast"),
+            "learning_rate": st.floats(max_value=0.0)
+            | st.sampled_from(["fast", math.nan, math.inf, "inf"]),
             "label_smoothing": st.floats(max_value=0.0, exclude_max=True)
             | st.floats(min_value=1.0)
             | st.just(math.nan),

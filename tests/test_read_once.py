@@ -1,10 +1,11 @@
-"""Reading each corpus file once: tree digests, timestamp parsing and the
-directory loader's error contract.
+"""Reading each corpus file once: tree digests, text cleaning, timestamp
+parsing, file reads and the directory loader's error contract.
 
-The tree digest and the timestamp parser each have a fast path; the code
-they replaced is kept in _support as the oracle. The loader fuzz builds
-malformed conversation directories and checks that only RumorVetError
-escapes, and that the CLI answers with an exit code, never a traceback.
+The tree digest, clean_text and the timestamp parser each have a fast
+path; the code they replaced is kept in _support as the oracle. The loader
+fuzz builds malformed conversation directories and checks that only
+RumorVetError escapes, and that the CLI answers with an exit code, never a
+traceback.
 """
 
 import contextlib
@@ -18,16 +19,23 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rumorvet import cli, manifest
-from rumorvet.corpus import find_conversation_dirs, load_split, parse_timestamp
-from rumorvet.errors import RumorVetError
+from rumorvet.corpus import (
+    _read_json,
+    clean_text,
+    find_conversation_dirs,
+    load_split,
+    parse_timestamp,
+    post_from_dict,
+)
+from rumorvet.errors import MalformedStructure, RumorVetError
 from rumorvet.manifest import checksum, sha256_tree
 from rumorvet.synthetic import write_conversation_dir
 
-from ._support import make_conv, parse_timestamp_oracle, sha256_tree_oracle
+from ._support import clean_text_oracle, make_conv, parse_timestamp_oracle, sha256_tree_oracle
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -192,16 +200,94 @@ def test_parse_timestamp_examples_equal_oracle(value):
     assert not isinstance(_outcome(parse_timestamp, value), type)  # each one parses
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        "2015-01-07T11:06:08+00:00",
+        "2015-01-07T11:06:08Z",
+        "2015-01-07T11:06:08+05:30",
+        "2015-01-07T11:06:00.000001+00:00",
+        "2015-01-07T11:06:08",
+        "20150107",
+    ],
+)
+def test_jsonl_timestamps_equal_oracle(value):
+    want = _outcome(parse_timestamp_oracle, value)
+    record = {"id": "p", "text_raw": "a", "text_clean": "a", "platform": "twitter"}
+    assert _outcome(parse_timestamp, value) == want
+    assert _outcome(lambda v: post_from_dict({**record, "created_at": v}).created_at, value) == want
+
+
+# -- text cleaning -----------------------------------------------------------------
+
+_tokens = st.sampled_from(
+    ["#", "#a", "#_", "##", "a#b", "http", "HTTP://x", "hTtP", "xhttp", "https://t.co/a",
+     "İ", "ß", "Σ", "ΣΑΣ", "#İ", "httpİ", "İhttp", "word", "ünï"]
+)
+_spaces = st.sampled_from([" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u200b", ""])
+_raw_texts = st.one_of(
+    st.lists(st.tuples(_spaces, _tokens)).map(lambda parts: "".join(s + t for s, t in parts)),
+    st.text(alphabet=st.sampled_from("#hHtTpP:/İßΣa \t\n\u00a0\u2003")),
+    st.text(),
+)
+
+
+@FUZZ
+@given(raw=_raw_texts)
+@example(raw="HTTP://x\u00a0a")  # only the upper-cased text holds no "http"
+@example(raw="a hTtPs://y")
+@example(raw="ΣΑΣ\u2003İß")
+def test_clean_text_equals_oracle(raw):
+    assert clean_text(raw) == clean_text_oracle(raw)
+
+
+# -- reading one file ----------------------------------------------------------------
+
+
+def test_read_json_reads_every_chunk(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"text": "x" * 200_000}), encoding="utf-8")
+    digests = {}
+    assert _read_json(str(path), digests) == {"text": "x" * 200_000}
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_unreadable_file_message_and_no_open_fd(tmp_path, kind):
+    path = tmp_path / "x.json"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(OSError) as opened:  # the loader read through open() before
+        open(path, "rb")
+    want = f"{path}: cannot read: {opened.value.strerror}"
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(MalformedStructure) as raised:
+        _read_json(str(path))
+    assert str(raised.value) == want
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 # -- malformed conversation directories ---------------------------------------
 
-_MALFORMATIONS = ("no_source", "two_sources", "structure_not_object", "non_utf8", "dangling_id", "json_dir")
+_MALFORMATIONS = (
+    "no_source", "two_sources", "structure_not_object", "non_utf8", "dangling_id", "json_dir", "non_string_text"
+)
+_TEXT_FIELDS = ("full_text", "text", "title", "selftext", "body")
+_non_strings = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
 
 
 def _post(post_id: str) -> bytes:
     return json.dumps({"id_str": post_id, "text": "a post", "created_at": "2019-01-07T12:00:00+00:00"}).encode()
 
 
-def _write_thread(d: Path, tid: str, n_replies: int, faults: frozenset, victim: int) -> None:
+def _write_thread(d: Path, tid: str, n_replies: int, faults: frozenset, victim: int, bad_text=None) -> None:
     (d / "source-tweet").mkdir(parents=True)
     (d / "replies").mkdir()
     replies = [f"{tid}-r{i}" for i in range(n_replies)]
@@ -217,6 +303,11 @@ def _write_thread(d: Path, tid: str, n_replies: int, faults: frozenset, victim: 
     (d / "structure.json").write_text(json.dumps(structure), encoding="utf-8")
     if "structure_not_object" in faults:
         (d / "structure.json").write_text(["[]", "1", '"x"', "null"][victim % 4], encoding="utf-8")
+    if "non_string_text" in faults:  # bad_text is (field, value)
+        posts = sorted(p for p in d.rglob("*.json") if p.is_file() and p.name != "structure.json")
+        if posts:  # none only with no_source, which the loader rejects
+            target = posts[victim % len(posts)]
+            target.write_text(json.dumps({**json.loads(target.read_bytes()), bad_text[0]: bad_text[1]}))
     if "non_utf8" in faults:
         files = sorted(p for p in d.rglob("*.json") if p.is_file())
         target = files[victim % len(files)]
@@ -227,14 +318,15 @@ def _write_thread(d: Path, tid: str, n_replies: int, faults: frozenset, victim: 
 
 @st.composite
 def _malformed_split(draw):
-    """Thread specs (id, replies, faults, victim index); at least one thread
-    carries a fault the strict loader must reject."""
+    """Thread specs (id, replies, faults, victim index, non-string text
+    field); at least one thread carries a fault the strict loader must reject."""
     n = draw(st.integers(1, 4))
     bad = draw(st.integers(0, n - 1))
     specs = []
     for i in range(n):
         faults = frozenset(draw(st.sets(st.sampled_from(_MALFORMATIONS), min_size=1 if i == bad else 0)))
-        specs.append((f"t{i}", draw(st.integers(0, 3)), faults, draw(st.integers(0, 20))))
+        bad_text = draw(st.tuples(st.sampled_from(_TEXT_FIELDS), _non_strings))
+        specs.append((f"t{i}", draw(st.integers(0, 3)), faults, draw(st.integers(0, 20)), bad_text))
     return specs
 
 
@@ -243,8 +335,8 @@ def _malformed_split(draw):
 def test_loader_fuzz_only_rumorvet_errors(specs):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "split"
-        for tid, n_replies, faults, victim in specs:
-            _write_thread(root / tid, tid, n_replies, faults, victim)
+        for tid, n_replies, faults, victim, bad_text in specs:
+            _write_thread(root / tid, tid, n_replies, faults, victim, bad_text)
         with pytest.raises(RumorVetError):
             load_split(root)
         try:
