@@ -82,8 +82,6 @@ def clean_text(raw: str) -> str:
     or when it starts with 'http' in any casing. The whole token goes, not
     just the marker, since fragments distort short thread texts.
     """
-    if "#" not in raw and "http" not in raw.lower():
-        return " ".join(raw.split())  # no token can be dropped
     kept = [
         tok
         for tok in raw.split()
@@ -311,7 +309,9 @@ def _read_json(path: str, digests: dict[str, str] | None = None):
     record their sha256 under path. A file that cannot be read, or is not
     UTF-8 JSON, is a MalformedStructure."""
     try:
-        fd = os.open(path, os.O_RDONLY)  # under half of open()'s cost per small file
+        # Per small file, os.read costs about half of open().read() and two
+        # thirds of open(buffering=0).readall().
+        fd = os.open(path, os.O_RDONLY)
         try:
             chunks = []
             while chunk := os.read(fd, 1 << 16):

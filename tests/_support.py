@@ -93,20 +93,6 @@ def sha256_tree_oracle(root) -> str:
     return h.hexdigest()
 
 
-_HASHTAG_RE = re.compile(r"#\w")
-
-
-def clean_text_oracle(raw: str) -> str:
-    """clean_text as first written: every token lower-cased and matched,
-    with no fast path for text that holds no '#' and no 'http'."""
-    kept = [
-        tok
-        for tok in raw.split()
-        if not (tok.lower().startswith("http") or _HASHTAG_RE.match(tok))
-    ]
-    return " ".join(kept)
-
-
 def parse_timestamp_oracle(value) -> datetime:
     """The timestamp parser as first written: epoch, then the Twitter
     format, then ISO 8601."""

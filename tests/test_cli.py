@@ -248,8 +248,9 @@ class TestClassify:
 
             return counting_open
 
-        monkeypatch.setattr("builtins.open", counting(open))
-        monkeypatch.setattr("io.open", counting(open))
+        real_open = open
+        monkeypatch.setattr("builtins.open", counting(real_open))
+        monkeypatch.setattr("io.open", counting(real_open))
         monkeypatch.setattr("os.open", counting(os.open))
         out = tmp_path / "preds.jsonl"
         assert main(["classify", str(data), "--config", ws["cfg"], "--out", str(out)]) == 0

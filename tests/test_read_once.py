@@ -1,11 +1,10 @@
-"""Reading each corpus file once: tree digests, text cleaning, timestamp
-parsing, file reads and the directory loader's error contract.
+"""Reading each corpus file once: tree digests, timestamp parsing, file
+reads and the directory loader's error contract.
 
-The tree digest, clean_text and the timestamp parser each have a fast
-path; the code they replaced is kept in _support as the oracle. The loader
-fuzz builds malformed conversation directories and checks that only
-RumorVetError escapes, and that the CLI answers with an exit code, never a
-traceback.
+The tree digest and the timestamp parser each have a fast path; the code
+they replaced is kept in _support as the oracle. The loader fuzz builds
+malformed conversation directories and checks that only RumorVetError
+escapes, and that the CLI answers with an exit code, never a traceback.
 """
 
 import contextlib
@@ -19,13 +18,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rumorvet import cli, manifest
 from rumorvet.corpus import (
     _read_json,
-    clean_text,
     find_conversation_dirs,
     load_split,
     parse_timestamp,
@@ -35,7 +33,7 @@ from rumorvet.errors import MalformedStructure, RumorVetError
 from rumorvet.manifest import checksum, sha256_tree
 from rumorvet.synthetic import write_conversation_dir
 
-from ._support import clean_text_oracle, make_conv, parse_timestamp_oracle, sha256_tree_oracle
+from ._support import make_conv, parse_timestamp_oracle, sha256_tree_oracle
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -216,29 +214,6 @@ def test_jsonl_timestamps_equal_oracle(value):
     record = {"id": "p", "text_raw": "a", "text_clean": "a", "platform": "twitter"}
     assert _outcome(parse_timestamp, value) == want
     assert _outcome(lambda v: post_from_dict({**record, "created_at": v}).created_at, value) == want
-
-
-# -- text cleaning -----------------------------------------------------------------
-
-_tokens = st.sampled_from(
-    ["#", "#a", "#_", "##", "a#b", "http", "HTTP://x", "hTtP", "xhttp", "https://t.co/a",
-     "İ", "ß", "Σ", "ΣΑΣ", "#İ", "httpİ", "İhttp", "word", "ünï"]
-)
-_spaces = st.sampled_from([" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u200b", ""])
-_raw_texts = st.one_of(
-    st.lists(st.tuples(_spaces, _tokens)).map(lambda parts: "".join(s + t for s, t in parts)),
-    st.text(alphabet=st.sampled_from("#hHtTpP:/İßΣa \t\n\u00a0\u2003")),
-    st.text(),
-)
-
-
-@FUZZ
-@given(raw=_raw_texts)
-@example(raw="HTTP://x\u00a0a")  # only the upper-cased text holds no "http"
-@example(raw="a hTtPs://y")
-@example(raw="ΣΑΣ\u2003İß")
-def test_clean_text_equals_oracle(raw):
-    assert clean_text(raw) == clean_text_oracle(raw)
 
 
 # -- reading one file ----------------------------------------------------------------
