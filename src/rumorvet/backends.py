@@ -29,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ModelError, ModelFormatError, UntrainedBackend
-from .probs import ProbVector, one_hot, smooth_labels
+from .probs import ProbVector, one_hot
 
 BackendInput = Union[str, tuple[str, str]]
 
@@ -115,8 +115,10 @@ def predict_all(backend, xs: Sequence[BackendInput]) -> list[ProbVector]:
 def labeled_examples(
     pairs: Sequence[tuple[BackendInput, str]], classes: tuple[str, ...]
 ) -> list[tuple[BackendInput, ProbVector]]:
-    """Turn (input, label) pairs into the hard-target form fit() expects."""
-    return [(x, one_hot(label, classes)) for x, label in pairs]
+    """Turn (input, label) pairs into the hard-target form fit() expects,
+    sharing one (frozen) one-hot ProbVector per class."""
+    hot = {c: one_hot(c, classes) for c in classes}
+    return [(x, hot[label] if label in hot else one_hot(label, classes)) for x, label in pairs]
 
 
 # Inputs featurised and scored together. Bounds the working set of a large
@@ -142,7 +144,9 @@ class ReferenceBackend(ClassifierBackend):
     array code, yet add every term in the order the per-example
     definition does (bias first, then count * row per distinct bucket in
     first-occurrence order; gradients example by example), so models and
-    predictions are bit-for-bit those of the per-example loops.
+    predictions are bit-for-bit those of the per-example loops. Minibatches
+    never change between epochs, so fit() featurises, merges and finds each
+    batch's touched buckets once per call and holds them (int32) for the call.
     """
 
     backend_kind = "reference"
@@ -215,7 +219,7 @@ class ReferenceBackend(ClassifierBackend):
         keys, first, inverse = np.unique(
             example * self.n_buckets + buckets, return_index=True, return_inverse=True
         )
-        counts = np.bincount(inverse, minlength=len(keys)).astype(np.float64)
+        counts = np.bincount(inverse, minlength=len(keys))  # ints: exact in any float64 product
         order = np.argsort(first, kind="stable")
         keys = keys[order]
         return keys // self.n_buckets, keys % self.n_buckets, counts[order]
@@ -232,10 +236,10 @@ class ReferenceBackend(ClassifierBackend):
             # populating the (sparse) weight table.
             self._bias = rng.normal(0.0, 1e-9, len(self.classes))
 
-    def _logits(self, example, buckets, counts, n: int) -> np.ndarray:
+    def _logits(self, example, rows, counts, n: int) -> np.ndarray:
         """(n, K) logits. bincount adds each example's bias first, then its
-        count * row terms in entry order, as the per-example sum did."""
-        terms = counts[:, None] * self._rows[self._index[buckets]]
+        count * self._rows[row] terms in entry order, as the per-example sum did."""
+        terms = counts[:, None] * self._rows[rows]
         slots = np.concatenate([np.arange(n), example])
         z = np.empty((n, len(self.classes)))
         for j, bias in enumerate(self._bias):
@@ -251,35 +255,42 @@ class ReferenceBackend(ClassifierBackend):
         for _, target in examples:
             if target.k != k:
                 raise ValueError(f"target has {target.k} components, backend has {k} classes")
-        targets = np.array(
-            [smooth_labels(target, recipe.label_smoothing).values for _, target in examples]
-        )
-        inputs = [x for x, _ in examples]
+        rate = recipe.label_smoothing  # smoothed with probs.smooth_labels' IEEE operations
+        targets = (1.0 - rate) * np.array([t.values for _, t in examples]) + rate / k
+        batches = self._batches([x for x, _ in examples], targets, recipe.batch_size)
+        self._ensure_initialized()
+        for batch in batches * recipe.epochs:  # every epoch replays the same batches
+            self._step(*batch)
+        self._recipes.append({"n_examples": len(examples), "recipe": recipe.to_dict()})
+
+    def _batches(self, inputs: list, targets: np.ndarray, size: int) -> list[tuple[np.ndarray, ...]]:
+        """(example, touched, slot, counts, targets) per minibatch: each merged
+        entry's example, bucket (touched[slot]) and count, then the targets."""
         chunks = range(0, len(inputs), PREDICT_CHUNK)
         hashed = [self._hashed(inputs[i : i + PREDICT_CHUNK]) for i in chunks]
         buckets = np.concatenate([b for b, _ in hashed])
         lengths = np.concatenate([n for _, n in hashed])
         offsets = np.concatenate([[0], np.cumsum(lengths)])
-        self._ensure_initialized()
-        for _ in range(recipe.epochs):
-            for start in range(0, len(examples), recipe.batch_size):
-                stop = min(start + recipe.batch_size, len(examples))
-                batch = buckets[offsets[start] : offsets[stop]]
-                self._step(*self._merge(batch, lengths[start:stop]), targets[start:stop])
-        self._recipes.append({"n_examples": len(examples), "recipe": recipe.to_dict()})
+        out = []
+        for start in range(0, len(inputs), size):
+            stop = min(start + size, len(inputs))
+            example, merged, counts = self._merge(buckets[offsets[start] : offsets[stop]], lengths[start:stop])
+            touched, slot = np.unique(merged, return_inverse=True)
+            out.append((*(a.astype(np.int32) for a in (example, touched, slot, counts)), targets[start:stop]))
+        return out
 
-    def _step(self, example, buckets, counts, targets) -> None:
+    def _step(self, example, touched, slot, counts, targets) -> None:
         n = len(targets)
         scale = self.step_size / n
-        err = _softmax_rows(self._logits(example, buckets, counts, n)) - targets
+        # Resolved every step, since earlier steps add rows. A new row is zero, like row 0.
+        rows = self._row_ids(touched)
+        err = _softmax_rows(self._logits(example, rows[slot], counts, n)) - targets
         # Sequential sums, example by example, like the per-example loop.
         bias_grad = np.cumsum(err, axis=0)[-1]
-        touched, slot = np.unique(buckets, return_inverse=True)
         terms = counts[:, None] * err[example]
         grad = np.empty((len(touched), len(self.classes)))
         for j in range(len(self.classes)):
             grad[:, j] = np.bincount(slot, weights=terms[:, j], minlength=len(touched))
-        rows = self._row_ids(touched)
         self._rows[rows] -= scale * grad
         self._bias -= scale * bias_grad
 
@@ -309,8 +320,8 @@ class ReferenceBackend(ClassifierBackend):
         out = []
         for start in range(0, len(xs), PREDICT_CHUNK):
             chunk = xs[start : start + PREDICT_CHUNK]
-            merged = self._merge(*self._hashed(chunk))
-            p = _softmax_rows(self._logits(*merged, len(chunk)))
+            example, buckets, counts = self._merge(*self._hashed(chunk))
+            p = _softmax_rows(self._logits(example, self._index[buckets], counts, len(chunk)))
             out.extend(ProbVector(tuple(row)) for row in p.tolist())
         return out
 

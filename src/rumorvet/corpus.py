@@ -330,7 +330,11 @@ def _read_json(path: str, digests: dict[str, str] | None = None):
 
 def _read_post(entry: os.DirEntry, digests: dict[str, str] | None) -> Post:
     # The fallback id is the file's Path.stem, which keeps a bare ".json" whole.
-    return post_from_json(_read_json(entry.path, digests), fallback_id=entry.name[:-5] or entry.name)
+    obj = _read_json(entry.path, digests)
+    try:
+        return post_from_json(obj, fallback_id=entry.name[:-5] or entry.name)
+    except (MalformedStructure, UnparseableTimestamp) as exc:  # name the file
+        raise type(exc)(str(exc), path=entry.path) from exc
 
 
 def _scan_dir(path, suffix: str = "") -> list[os.DirEntry]:
@@ -468,18 +472,17 @@ def conversation_to_dict(conv: Conversation) -> dict:
 
 
 def conversation_from_dict(obj: dict) -> Conversation:
-    return Conversation(
-        thread=post_from_dict(obj["thread"]),
-        replies=tuple(
-            Reply(
-                post=post_from_dict(r["post"]),
-                parent_id=_typed(r, "parent_id", str),
-                is_primary=bool(r["is_primary"]),
-            )
-            for r in _typed(obj, "replies", list)
-        ),
-        gold_label=None if obj.get("gold_label") is None else _typed(obj, "gold_label", str),
-    )
+    """The record conversation_to_dict wrote. A reply's is_primary must be
+    the bool parent_id == thread id, as the directory loader derives it."""
+    thread = post_from_dict(obj["thread"])
+    replies = []
+    for r in _typed(obj, "replies", list):
+        parent = _typed(r, "parent_id", str)
+        if _typed(r, "is_primary", bool) != (parent == thread.id):
+            raise TypeError(f"is_primary must be {parent == thread.id} for parent_id {parent!r}")
+        replies.append(Reply(post=post_from_dict(r["post"]), parent_id=parent, is_primary=parent == thread.id))
+    gold = None if obj.get("gold_label") is None else _typed(obj, "gold_label", str)
+    return Conversation(thread=thread, replies=tuple(replies), gold_label=gold)
 
 
 def save_conversations_jsonl(convs: Iterable[Conversation], path) -> None:

@@ -18,17 +18,17 @@ class ConfigError(UsageError):
 
 
 class DataError(RumorVetError):
-    """Bad input data (CLI exit 2)."""
+    """Bad input data (CLI exit 2), in the file at path when one is given."""
+
+    def __init__(self, message: str, path=None):
+        self.path = path
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class MalformedStructure(DataError):
     """Conversation directory violates the expected layout: missing source
     post, structure ids without reply files, duplicate ids, or an
     unparseable structure file."""
-
-    def __init__(self, message: str, path=None):
-        self.path = path
-        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class UnparseableTimestamp(DataError):

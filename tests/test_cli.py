@@ -537,6 +537,19 @@ class TestExitCodes:
         assert rc == 2, err.getvalue()
         assert f"line {lineno} " in err.getvalue() and len(err.getvalue().splitlines()) == 1
 
+    def test_string_is_primary_is_data_error(self, ws, tmp_path, capsys):
+        """"false" is not a bool; loaded with bool() it made a reply primary."""
+        records = [conversation_to_dict(c) for c in load_split(ws["test_dir"])]
+        lineno = next(i for i, r in enumerate(records, start=1) if r["replies"])
+        records[lineno - 1]["replies"][0].update(parent_id="x", is_primary="false")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        rc = main(["classify", str(bad), "--config", ws["cfg"], "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {lineno} is not a conversation record" in err and "is_primary" in err
+        assert len(err.splitlines()) == 1
+
     def test_empty_corpus_is_data_error(self, ws, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -607,6 +620,29 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert post.name in err and "cannot read" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "change,says",
+        [
+            (lambda obj: obj.update(text=12), "text must be a string, not int"),
+            (lambda obj: obj.pop("created_at"), "has no timestamp field"),
+            (lambda obj: obj.update(created_at="yesterday"), "unrecognized timestamp 'yesterday'"),
+        ],
+        ids=["text_int", "no_timestamp", "bad_timestamp"],
+    )
+    def test_post_data_error_names_the_file(self, ws, tmp_path, capsys, change, says):
+        broken = tmp_path / "broken"
+        shutil.copytree(ws["test_dir"], broken)
+        post = next(broken.glob("*/replies/*.json"))
+        obj = json.loads(post.read_text(encoding="utf-8"))
+        change(obj)
+        post.write_text(json.dumps(obj), encoding="utf-8")
+        rc = main(["ingest", str(broken), str(tmp_path / "o.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rumorvet: data error: {post}: ") and says in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o.jsonl").exists()
 
     @pytest.mark.parametrize("corpus,phase", [("hedge", "1"), ("deception", "2-1"), ("agreement", "2-2")])
     def test_non_utf8_corpus_is_data_error(self, ws, tmp_path, capsys, corpus, phase):

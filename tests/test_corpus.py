@@ -328,6 +328,16 @@ class TestSerialization:
         save_conversations_jsonl(convs, path)
         assert load_conversations_jsonl(path) == convs
 
+    @pytest.mark.parametrize(
+        "parent,flag", [("t1", 1), ("t1", "true"), ("t1", False), ("x", "false"), ("x", True), ("x", None)]
+    )
+    def test_is_primary_must_be_the_derived_bool(self, parent, flag):
+        """A stored is_primary is the bool parent_id == thread id, nothing else."""
+        record = conversation_to_dict(make_conv("t1", replies=[("r", 5, True)]))
+        record["replies"][0].update(parent_id=parent, is_primary=flag)
+        with pytest.raises(TypeError, match="is_primary"):
+            conversation_from_dict(record)
+
     def test_gold_labels_skips_unlabeled(self):
         convs = [make_conv("t1", gold="true"), make_conv("t2", gold=None)]
         assert gold_labels(convs) == {"t1": "true"}

@@ -1,6 +1,7 @@
 """ReferenceBackend's array code against the per-example oracle, bit for bit."""
 
 import base64
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from rumorvet.backends import (
     load_model,
     save_model,
 )
+from rumorvet.agreement import STANCE_CLASSES, build_phase22_training
 from rumorvet.errors import ModelFormatError
+from rumorvet.lie import LIE_CLASSES, build_phase21_training
+from rumorvet.pipeline import TrainingPlan
+from rumorvet.probs import ProbVector, one_hot, smooth_labels
+from rumorvet.synthetic import SyntheticSpec, make_corpus
 
 from ._support import OracleBackend, payload_v1, save_v1
 
@@ -219,3 +225,82 @@ def test_empty_batch():
     fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
     fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
     assert fast.predict_batch([]) == []
+
+
+@pytest.mark.parametrize("channel", ["lie", "agreement"])
+def test_published_recipe_scale_matches_oracle(channel):
+    """The paper's recipes (5 pretrain epochs, batch 32, smoothing 0.3) over
+    many minibatches with a ragged last one, then a fine-tune that
+    continues training: the batches fit() holds for a call replay exactly."""
+    corpus = make_corpus(SyntheticSpec(pretrain_per_class=90, seed=3))
+    plan = TrainingPlan()
+    if channel == "lie":
+        classes, kind = LIE_CLASSES, INPUT_TEXT
+        sets = build_phase21_training(corpus.deception, corpus.train, None)
+        recipes = (plan.lie_pretrain, plan.lie_finetune)
+    else:
+        classes, kind = STANCE_CLASSES, INPUT_PAIR
+        sets = build_phase22_training(corpus.agreement, corpus.train)
+        recipes = (plan.agreement_pretrain, plan.agreement_finetune)
+    assert recipes[0].epochs == 5 and recipes[0].batch_size == 32
+    for examples, recipe in zip(sets, recipes):
+        assert len(examples) > 3 * recipe.batch_size and len(examples) % recipe.batch_size
+    fast, oracle = _pair(kind, classes, 1 << 16, 1)
+    for examples, recipe in zip(sets, recipes):
+        fast.fit(labeled_examples(examples, classes), recipe)
+        oracle.fit(labeled_examples(examples, classes), recipe)
+        assert payload_v1(fast) == oracle.payload()
+    _assert_same_predictions(fast, oracle, [x for x, _ in sets[1]])
+
+
+# -- training targets -----------------------------------------------------------
+
+
+@st.composite
+def prob_vectors(draw, k):
+    """Any valid k-class ProbVector: one-hot or a normalised weight vector."""
+    if draw(st.booleans()):
+        return one_hot(draw(st.integers(0, k - 1)), tuple(range(k)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(any))
+    total = math.fsum(weights)
+    return ProbVector(tuple(w / total for w in weights))
+
+
+class _TargetSpy(ReferenceBackend):
+    """Records the targets of every minibatch step."""
+
+    def _step(self, *batch):
+        self.seen.append(batch[-1])
+        super()._step(*batch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fit_smooths_targets_like_smooth_labels(data):
+    k = data.draw(st.sampled_from([2, 3]))
+    targets = data.draw(st.lists(prob_vectors(k), min_size=1, max_size=9))
+    rate = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    batch = data.draw(st.integers(1, 4))
+    backend = _TargetSpy(("agree", "disagree", "none")[:k])
+    backend.seen = []
+    backend.fit([(f"x{i}", t) for i, t in enumerate(targets)], TrainingRecipe(1, batch, 5e-5, rate))
+    expected = np.array([smooth_labels(t, rate).values for t in targets])
+    assert np.concatenate(backend.seen).tobytes() == expected.tobytes()
+
+
+@given(
+    classes=st.sampled_from([("yes", "no"), ("agree", "disagree", "none")]),
+    labels=st.lists(st.sampled_from(("yes", "no", "agree", "disagree", "none", "maybe", "")), max_size=8),
+)
+def test_labeled_examples_match_one_hot(classes, labels):
+    pairs = [(f"x{i}", label) for i, label in enumerate(labels)]
+    try:
+        expected = [(x, one_hot(label, classes)) for x, label in pairs]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            labeled_examples(pairs, classes)
+        assert str(raised.value) == str(exc)
+    else:
+        out = labeled_examples(pairs, classes)
+        assert out == expected
+        assert len({id(target) for _, target in out}) <= len(classes)
