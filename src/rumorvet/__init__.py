@@ -25,6 +25,7 @@ from .backends import (
     labeled_examples,
     load_model,
     predict_all,
+    predict_rows,
     save_model,
 )
 from .certainty import (

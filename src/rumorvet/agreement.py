@@ -19,10 +19,12 @@ gold veracity mapped onto a stance.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .backends import ClassifierBackend, predict_all
-from .certainty import _load_tsv
+from .certainty import ChannelAssignment, _load_tsv
 from .corpus import Conversation, primary_pairs
 from .errors import DegenerateEvidence, EmptyEvidence
 from .predictions import (
@@ -44,6 +46,8 @@ STANCE_CLASSES = (STANCE_AGREE, STANCE_DISAGREE, STANCE_NONE)
 GOLD_TO_STANCE = {TRUE: STANCE_AGREE, FALSE: STANCE_DISAGREE, UNVERIFIED: STANCE_NONE}
 
 LabeledPair = tuple[tuple[str, str], str]
+# A thread's stance softmaxes: the rows of an (n, 3) array, or ProbVectors.
+Stances = Union[np.ndarray, Sequence[ProbVector]]
 
 _NO_EVIDENCE = ProbVector((0.5, 0.5))
 
@@ -54,15 +58,16 @@ def score_pairs(conv: Conversation, backend: ClassifierBackend) -> list[ProbVect
     return predict_all(backend, [(p.thread_text, p.reply_text) for p in primary_pairs(conv)])
 
 
-def aggregate(softmaxes: Sequence[ProbVector]) -> ProbVector:
+def aggregate(softmaxes: Stances) -> ProbVector:
     """Sum agree/disagree mass over a thread's stance softmaxes and
-    renormalize the two sums to an (agree, disagree) vector."""
-    if not softmaxes:
+    renormalize the two sums to an (agree, disagree) vector. math.fsum is
+    exactly rounded, so the sums do not depend on the order of the rows."""
+    rows = np.asarray(softmaxes if isinstance(softmaxes, np.ndarray) else [s.values for s in softmaxes])
+    if len(rows) == 0:
         raise EmptyEvidence("no stance scores to aggregate")
-    if any(s.k != 3 for s in softmaxes):
+    if rows.shape[1:] != (3,):  # a ragged list fails here or already in np.asarray
         raise ValueError("stance softmax must have 3 components")
-    agree = math.fsum(s[0] for s in softmaxes)
-    disagree = math.fsum(s[1] for s in softmaxes)
+    agree, disagree = math.fsum(rows[:, 0].tolist()), math.fsum(rows[:, 1].tolist())
     total = agree + disagree
     if total == 0.0:
         raise DegenerateEvidence("every pair put its whole mass on none")
@@ -77,33 +82,33 @@ def classify_agreement(
 
 
 def agreement_prediction(
-    thread_id: str, softmaxes: Sequence[ProbVector], epsilon: float
+    thread_id: str, softmaxes: Stances, epsilon: float, assignment: Optional[ChannelAssignment] = None
 ) -> VeracityPrediction:
     """The agreement channel's verdict from a thread's stance softmaxes,
     abstaining when there are none or they carry no agree/disagree mass."""
-    if not softmaxes:
-        return _abstain(thread_id, 0, WARN_NO_PRIMARY_REPLIES)
+    if len(softmaxes) == 0:
+        return _abstain(thread_id, 0, WARN_NO_PRIMARY_REPLIES, assignment)
     try:
         evidence = aggregate(softmaxes)
     except DegenerateEvidence:
-        return _abstain(thread_id, len(softmaxes), WARN_DEGENERATE_EVIDENCE)
+        return _abstain(thread_id, len(softmaxes), WARN_DEGENERATE_EVIDENCE, assignment)
     return VeracityPrediction(
         thread_id=thread_id,
         label=decide(evidence, (TRUE, FALSE), epsilon),
         channel=CHANNEL_AGREEMENT,
-        assignment=None,
+        assignment=assignment,
         evidence=evidence,
         entropy=self_entropy(evidence),
         n_replies_used=len(softmaxes),
     )
 
 
-def _abstain(thread_id: str, n_replies: int, warning: str) -> VeracityPrediction:
+def _abstain(thread_id: str, n_replies: int, warning: str, assignment) -> VeracityPrediction:
     return VeracityPrediction(
         thread_id=thread_id,
         label=UNVERIFIED,
         channel=CHANNEL_AGREEMENT,
-        assignment=None,
+        assignment=assignment,
         evidence=_NO_EVIDENCE,
         entropy=1.0,
         n_replies_used=n_replies,

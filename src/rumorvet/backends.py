@@ -2,7 +2,7 @@
 
 Every channel talks to a ClassifierBackend: fit on (input, target
 distribution) examples under a TrainingRecipe, then predict a ProbVector
-per input, many inputs at a time through predict_batch.
+per input, or many inputs at a time as the rows of one predict_array.
 Inputs are single texts or (text, text) pairs depending on the backend's
 input kind. Calling fit twice continues training from the current state,
 which is how the pretrain-then-fine-tune recipes are realized.
@@ -29,7 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ModelError, ModelFormatError, UntrainedBackend
-from .probs import ProbVector, one_hot
+from .probs import _SUM_TOL, ProbVector, one_hot
 
 BackendInput = Union[str, tuple[str, str]]
 
@@ -76,9 +76,11 @@ class ClassifierBackend(abc.ABC):
     so channels pass one-hot targets. predict() must be deterministic for a
     fixed trained state, safe for concurrent read-only use, and return a
     distribution over self.classes in order. predict_batch() returns
-    exactly what predict() would for each input, in input order; the
-    default loops over predict(), and backends override it where scoring
-    many inputs at once is cheaper.
+    exactly what predict() would for each input, in input order, and
+    predict_array() their values as the rows of an (n, K) float64 array;
+    the defaults loop over predict() and stack predict_batch(). Scoring
+    reads arrays and builds ProbVectors only for what it writes (evidence,
+    routing confidence) and for the per-item API.
     """
 
     classes: tuple[str, ...]
@@ -96,20 +98,31 @@ class ClassifierBackend(abc.ABC):
         """predict() for every input, in input order."""
         return [self.predict(x) for x in xs]
 
+    def predict_array(self, xs: Sequence[BackendInput]) -> np.ndarray:
+        """predict_batch()'s values as the rows of a (len(xs), K) float64 array."""
+        values = [p.values for p in self.predict_batch(xs)]
+        return np.array(values, dtype=np.float64).reshape(len(xs), len(self.classes))
+
+
+def predict_rows(backend, xs: Sequence[BackendInput]) -> np.ndarray:
+    """Input i's distribution as row i of an (n, K) array, from one
+    predict_array() call; channels reach backends only through here. An
+    empty list makes no call and gives a (0, 0) array; a duck-typed backend
+    with only predict() is scored one input at a time. The batch is checked
+    once with ProbVector's bounds; a bad row is a ValueError."""
+    if not xs:
+        return np.empty((0, 0))
+    array = getattr(backend, "predict_array", None)
+    rows = np.asarray(array(xs) if array else [backend.predict(x).values for x in xs], dtype=np.float64)
+    ok = rows.ndim == 2 and len(rows) == len(xs) and np.all((rows >= -_SUM_TOL) & (rows <= 1.0 + _SUM_TOL))
+    if not (ok and np.all(np.abs(rows.sum(axis=1) - 1.0) <= _SUM_TOL)):  # NaN fails both tests
+        raise ValueError(f"{type(backend).__name__} returned rows that are not probability distributions")
+    return rows
+
 
 def predict_all(backend, xs: Sequence[BackendInput]) -> list[ProbVector]:
-    """Score every input with one predict_batch() call.
-
-    Channels reach backends only through here. An empty input list makes
-    no call at all, and a duck-typed backend that only implements
-    predict() is scored one input at a time.
-    """
-    if not xs:
-        return []
-    batch = getattr(backend, "predict_batch", None)
-    if batch is None:
-        return [backend.predict(x) for x in xs]
-    return batch(xs)
+    """predict_rows() as one ProbVector per input, for callers that keep each one."""
+    return [ProbVector(tuple(row)) for row in predict_rows(backend, xs).tolist()]
 
 
 def labeled_examples(
@@ -122,7 +135,7 @@ def labeled_examples(
 
 
 # Inputs featurised and scored together. Bounds the working set of a large
-# predict_batch() or fit() to a few hundred inputs' features.
+# predict_array() or fit() to a few hundred inputs' features.
 PREDICT_CHUNK = 256
 
 
@@ -140,7 +153,7 @@ class ReferenceBackend(ClassifierBackend):
 
     Storage: an int32 bucket -> row index (0 for a bucket no fit() has
     touched) over a growing float64 rows table whose row 0 stays zero.
-    fit() and predict_batch() work on whole minibatches and chunks with
+    fit() and predict_array() work on whole minibatches and chunks with
     array code, yet add every term in the order the per-example
     definition does (bias first, then count * row per distinct bucket in
     first-occurrence order; gradients example by example), so models and
@@ -315,14 +328,17 @@ class ReferenceBackend(ClassifierBackend):
         return self.predict_batch([x])[0]
 
     def predict_batch(self, xs: Sequence[BackendInput]) -> list[ProbVector]:
+        return [ProbVector(tuple(row)) for row in self.predict_array(xs).tolist()]
+
+    def predict_array(self, xs: Sequence[BackendInput]) -> np.ndarray:
         if self._bias is None or not self._recipes:
             raise UntrainedBackend("reference backend has not been fitted")
-        out = []
+        out = np.empty((len(xs), len(self.classes)))
         for start in range(0, len(xs), PREDICT_CHUNK):
             chunk = xs[start : start + PREDICT_CHUNK]
             example, buckets, counts = self._merge(*self._hashed(chunk))
             p = _softmax_rows(self._logits(example, self._index[buckets], counts, len(chunk)))
-            out.extend(ProbVector(tuple(row)) for row in p.tolist())
+            out[start : start + len(chunk)] = p
         return out
 
     # -- persistence -------------------------------------------------------

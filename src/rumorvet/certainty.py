@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .backends import ClassifierBackend, TrainingRecipe, labeled_examples, predict_all
+from .backends import ClassifierBackend, TrainingRecipe, labeled_examples, predict_all, predict_rows
 from .corpus import Conversation, Post
 from .errors import CorpusFormatError, InsufficientClassExamples
 from .probs import ProbVector
@@ -51,7 +51,7 @@ def classify_certainty(thread: Post, backend: ClassifierBackend) -> ChannelAssig
 
 def assign_threads(backend: ClassifierBackend, threads: Sequence[Post]) -> list[ChannelAssignment]:
     """Certainty assignment per thread, in order, from one batched call."""
-    probs = predict_all(backend, [t.text_clean for t in threads])
+    probs = map(ProbVector, predict_rows(backend, [t.text_clean for t in threads]).tolist())
     return [
         ChannelAssignment(thread_id=t.id, label=CERTAINTY_CLASSES[p.argmax()], confidence=p)
         for t, p in zip(threads, probs)

@@ -7,6 +7,7 @@ Wiring only; every behavior lives in the library modules. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import sys
@@ -224,14 +225,7 @@ def _load_conversations(
     else:
         convs = load_conversations_jsonl(source)
         if labels:
-            convs = [
-                Conversation(
-                    thread=c.thread,
-                    replies=c.replies,
-                    gold_label=labels.get(c.thread.id, c.gold_label),
-                )
-                for c in convs
-            ]
+            convs = [dataclasses.replace(c, gold_label=labels.get(c.thread.id, c.gold_label)) for c in convs]
     if not convs:
         raise DataError(f"no conversations found in {source}")
     return convs
@@ -243,6 +237,17 @@ def _load_checksummed(source: Path, key: Optional[Path]) -> tuple[list[Conversat
     digests: dict[str, str] = {}
     convs = _load_conversations(source, key, digests=digests)
     return convs, checksum(source, digests)
+
+
+@contextlib.contextmanager
+def _output_dir(path: Path):
+    """Create an output directory for the block that writes into it. An
+    output that cannot be created or written is a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def _make_backend(cfg: RunConfig, classes: tuple[str, ...], input_kind: str, seed: int):
@@ -258,8 +263,8 @@ def _make_backend(cfg: RunConfig, classes: tuple[str, ...], input_kind: str, see
 
 def cmd_ingest(args) -> int:
     convs = _load_conversations(args.input_dir, args.key, lenient=args.lenient)
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    save_conversations_jsonl(convs, args.output)
+    with _output_dir(args.output.parent):
+        save_conversations_jsonl(convs, args.output)
     n_replies = sum(len(c.replies) for c in convs)
     n_pairs = sum(len(primary_pairs(c)) for c in convs)
     print(f"{len(convs)} threads, {n_replies} replies, {n_pairs} primary pairs -> {args.output}")
@@ -292,22 +297,22 @@ def cmd_train(args) -> int:
             routing,
         )
         out = cfg.model_path(name)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_model(backend, out)
-        note = ""
-        if name == "phase1":
-            routing = assign_all(backend, train_convs)
-            note = f" (train split routed {summarize_assignments(routing)})"
-        print(f"{name} -> {out}{note}")
-        manifest = build_manifest(
-            command=f"train:{name}",
-            argv=tuple(sys.argv),
-            config=cfg.to_dict(),
-            inputs=inputs,
-            outputs={"model": out},
-            input_checksums={"train_dir": train_checksum},
-        )
-        write_manifest(manifest, out.with_suffix(".manifest.json"))
+        with _output_dir(out.parent):
+            save_model(backend, out)
+            note = ""
+            if name == "phase1":
+                routing = assign_all(backend, train_convs)
+                note = f" (train split routed {summarize_assignments(routing)})"
+            print(f"{name} -> {out}{note}")
+            manifest = build_manifest(
+                command=f"train:{name}",
+                argv=tuple(sys.argv),
+                config=cfg.to_dict(),
+                inputs=inputs,
+                outputs={"model": out},
+                input_checksums={"train_dir": train_checksum},
+            )
+            write_manifest(manifest, out.with_suffix(".manifest.json"))
     return 0
 
 
@@ -341,21 +346,21 @@ def cmd_classify(args) -> int:
     backends = _load_backends(cfg, [cfg.mode])
     [row] = score_grid(convs, [(cfg.mode, windows[0])], backends, cfg.entropy_epsilon)
     preds = row.predictions
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    save_predictions_jsonl(preds, args.out)
-    counts = dict(Counter(p.label for p in preds))
-    dropped = len(convs) - len(preds)
-    note = f" ({dropped} threads outside the window)" if dropped else ""
-    print(f"{len(preds)} predictions -> {args.out} {counts}{note}")
-    manifest = build_manifest(
-        command="classify",
-        argv=tuple(sys.argv),
-        config=cfg.to_dict(),
-        models=_model_paths(cfg, cfg.mode),
-        outputs={"predictions": args.out},
-        input_checksums={"corpus": corpus_checksum},
-    )
-    write_manifest(manifest, args.out.with_suffix(".manifest.json"))
+    with _output_dir(args.out.parent):
+        save_predictions_jsonl(preds, args.out)
+        counts = dict(Counter(p.label for p in preds))
+        dropped = len(convs) - len(preds)
+        note = f" ({dropped} threads outside the window)" if dropped else ""
+        print(f"{len(preds)} predictions -> {args.out} {counts}{note}")
+        manifest = build_manifest(
+            command="classify",
+            argv=tuple(sys.argv),
+            config=cfg.to_dict(),
+            models=_model_paths(cfg, cfg.mode),
+            outputs={"predictions": args.out},
+            input_checksums={"corpus": corpus_checksum},
+        )
+        write_manifest(manifest, args.out.with_suffix(".manifest.json"))
     return 0
 
 
@@ -368,49 +373,50 @@ def _evaluate(args, modes: list[str]) -> int:
     convs, corpus_checksum = _load_checksummed(args.input, args.key)
     golds_all = gold_labels(convs)
     out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     average = "micro" if args.micro else "macro"
 
     scored = [c for c in convs if c.gold_label is not None]
     rows = [(mode, window) for mode in modes for window in windows]
     grid = score_grid(scored or convs, rows, _load_backends(cfg, modes), cfg.entropy_epsilon)
-    reports: list[EvaluationReport] = []
-    prediction_files: dict[str, Path] = {}
-    for row in grid:
-        slug = _slug(row.mode, row.window_days)
-        pred_path = out_dir / f"predictions-{slug}.jsonl"
-        save_predictions_jsonl(row.predictions, pred_path)
-        prediction_files[slug] = pred_path
-        if not scored:
-            print(f"{slug}: no gold labels; wrote predictions only")
-            continue
-        config = dataclasses.replace(cfg, mode=row.mode, reply_window_days=row.window_days)
-        golds = {p.thread_id: golds_all[p.thread_id] for p in row.predictions}
-        report = build_report(
-            config.pipeline_config(), row.predictions, golds, average=average, reply_counts=row.reply_counts
-        )
-        reports.append(report)
+    with _output_dir(out_dir):
+        reports: list[EvaluationReport] = []
+        prediction_files: dict[str, Path] = {}
+        for row in grid:
+            slug = _slug(row.mode, row.window_days)
+            pred_path = out_dir / f"predictions-{slug}.jsonl"
+            save_predictions_jsonl(row.predictions, pred_path)
+            prediction_files[slug] = pred_path
+            if not scored:
+                print(f"{slug}: no gold labels; wrote predictions only")
+                continue
+            config = dataclasses.replace(cfg, mode=row.mode, reply_window_days=row.window_days)
+            golds = {p.thread_id: golds_all[p.thread_id] for p in row.predictions}
+            report = build_report(
+                config.pipeline_config(), row.predictions, golds,
+                average=average, reply_counts=row.reply_counts,
+            )
+            reports.append(report)
 
-    outputs: dict[str, Path] = dict(prediction_files)
-    if reports:
-        table = render_reports(reports)
-        print(table, end="")
-        (out_dir / "report.txt").write_text(table, encoding="utf-8")
-        (out_dir / "report.json").write_text(reports_to_json(reports), encoding="utf-8")
-        outputs["report_txt"] = out_dir / "report.txt"
-        outputs["report_json"] = out_dir / "report.json"
-    manifest = build_manifest(
-        command="evaluate",
-        argv=tuple(sys.argv),
-        config=cfg.to_dict(),
-        inputs={"key": args.key},
-        models={
-            f"{mode}:{slot}": path for mode in modes for slot, path in _model_paths(cfg, mode).items()
-        },
-        outputs=outputs,
-        input_checksums={"corpus": corpus_checksum},
-    )
-    write_manifest(manifest, out_dir / "manifest.json")
+        outputs: dict[str, Path] = dict(prediction_files)
+        if reports:
+            table = render_reports(reports)
+            print(table, end="")
+            (out_dir / "report.txt").write_text(table, encoding="utf-8")
+            (out_dir / "report.json").write_text(reports_to_json(reports), encoding="utf-8")
+            outputs["report_txt"] = out_dir / "report.txt"
+            outputs["report_json"] = out_dir / "report.json"
+        manifest = build_manifest(
+            command="evaluate",
+            argv=tuple(sys.argv),
+            config=cfg.to_dict(),
+            inputs={"key": args.key},
+            models={
+                f"{mode}:{slot}": path for mode in modes for slot, path in _model_paths(cfg, mode).items()
+            },
+            outputs=outputs,
+            input_checksums={"corpus": corpus_checksum},
+        )
+        write_manifest(manifest, out_dir / "manifest.json")
     return 0
 
 

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedStructure, UnparseableTimestamp
+from .probs import VERACITY_CLASSES
 
 logger = logging.getLogger(__name__)
 
@@ -394,7 +395,11 @@ def load_key_file(path) -> dict[str, str]:
         if isinstance(obj.get(key), dict):
             obj = obj[key]
             break
-    return {str(k): str(v).lower() for k, v in obj.items() if not isinstance(v, dict)}
+    labels = {str(k): str(v).lower() for k, v in obj.items() if not isinstance(v, dict)}
+    for tid, label in labels.items():
+        if label not in VERACITY_CLASSES:
+            raise MalformedStructure(f"thread {tid}: gold label {label!r} not in {VERACITY_CLASSES}", path=path)
+    return labels
 
 
 def primary_pairs(conv: Conversation) -> list[ThreadReplyPair]:
@@ -482,6 +487,8 @@ def conversation_from_dict(obj: dict) -> Conversation:
             raise TypeError(f"is_primary must be {parent == thread.id} for parent_id {parent!r}")
         replies.append(Reply(post=post_from_dict(r["post"]), parent_id=parent, is_primary=parent == thread.id))
     gold = None if obj.get("gold_label") is None else _typed(obj, "gold_label", str)
+    if gold not in (None, *VERACITY_CLASSES):
+        raise ValueError(f"gold_label {gold!r} not in {VERACITY_CLASSES}")
     return Conversation(thread=thread, replies=tuple(replies), gold_label=gold)
 
 

@@ -39,13 +39,15 @@ def classify_lie(thread: Post, backend: ClassifierBackend, epsilon: float) -> Ve
     return lie_prediction(thread.id, predict_all(backend, [thread.text_clean])[0], epsilon)
 
 
-def lie_prediction(thread_id: str, p: ProbVector, epsilon: float) -> VeracityPrediction:
+def lie_prediction(
+    thread_id: str, p: ProbVector, epsilon: float, assignment: Optional[ChannelAssignment] = None
+) -> VeracityPrediction:
     """The lie channel's verdict from a thread's (true, false) softmax."""
     return VeracityPrediction(
         thread_id=thread_id,
         label=decide(p, LIE_CLASSES, epsilon),
         channel=CHANNEL_LIE,
-        assignment=None,
+        assignment=assignment,
         evidence=p,
         entropy=self_entropy(p),
         n_replies_used=0,

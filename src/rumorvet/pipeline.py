@@ -15,9 +15,9 @@ channel modules.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -29,6 +29,7 @@ from .backends import (
     TrainingRecipe,
     labeled_examples,
     predict_all,
+    predict_rows,
 )
 from .certainty import (
     CERTAIN,
@@ -227,16 +228,18 @@ def score_grid(
     ]
     wanted: dict[str, dict[int, str]] = {}  # name -> {thread index: a mode scoring it}
 
-    def score(name: str, inputs, call=predict_all) -> dict[int, list]:
-        """One batched call of a named backend over the inputs of the threads that want it."""
+    def score(name: str, inputs, call=predict_rows) -> dict[int, Sequence]:
+        """One batched call of a named backend over the inputs of the threads
+        that want it; each thread gets its slice of the result."""
         idx = sorted(wanted.get(name, ()))
         if not idx:
             return {}
         if backends.get(name) is None:
             raise UntrainedBackend(f"mode {wanted[name][idx[0]]} needs a trained {name} backend")
         per_thread = [inputs(i) for i in idx]
-        results = iter(call(backends[name], [x for xs in per_thread for x in xs]))
-        return {i: [next(results) for _ in xs] for i, xs in zip(idx, per_thread)}
+        results = call(backends[name], [x for xs in per_thread for x in xs])
+        ends = accumulate(map(len, per_thread))
+        return {i: results[end - len(xs) : end] for i, xs, end in zip(idx, per_thread, ends)}
 
     for (mode, _), idx in zip(rows, kept):
         if "phase1" in _mode_backends(mode):
@@ -262,7 +265,11 @@ def score_grid(
         for i in wanted.get("agreement", ())
     }
 
-    lie = {name: score(name, lambda i: [convs[i].thread.text_clean]) for name in ("lie", "lie_unrouted")}
+    # Lie evidence is written as is: one ProbVector per (backend, thread), shared by the rows.
+    lie = {
+        name: score(name, lambda i: [convs[i].thread.text_clean], predict_all)
+        for name in ("lie", "lie_unrouted")
+    }
     stances = score("agreement", lambda i: [(p.thread_text, p.reply_text) for p, _ in pairs[i]])
 
     for (mode, days), limit, route in zip(rows, limits, routes):
@@ -271,13 +278,10 @@ def score_grid(
         for i, a, channel in route:
             tid = convs[i].thread.id
             if channel == CHANNEL_LIE:
-                pred = lie_prediction(tid, lie[names[channel]][i][0], epsilon)
-            elif days is None:
-                pred = agreement_prediction(tid, stances[i], epsilon)
-            else:
-                scores = [s for s, (_, age) in zip(stances[i], pairs[i]) if age <= limit]
-                pred = agreement_prediction(tid, scores, epsilon)
-            preds.append(pred if a is None else dataclasses.replace(pred, assignment=a))
+                preds.append(lie_prediction(tid, lie[names[channel]][i][0], epsilon, a))
+            else:  # a windowed row masks the thread's stance rows by reply age
+                in_window = slice(None) if days is None else [age <= limit for _, age in pairs[i]]
+                preds.append(agreement_prediction(tid, stances[i][in_window], epsilon, a))
             counts.append(len(ages[i]) if days is None else sum(age <= limit for age in ages[i]))
         yield GridRow(mode, days, preds, counts)
 

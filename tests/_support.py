@@ -339,9 +339,10 @@ def spread_reply_ages(conv: Conversation, k: int) -> Conversation:
 
 
 class CountingBackend:
-    """Records each batch call; a per-item predict() call fails the test.
-    Every other attribute (fit, payload, classes, ...) is the inner
-    backend's, so a wrapped backend can still be trained and saved."""
+    """Records the size of each batch call, predict_batch() or
+    predict_array(); a per-item predict() call fails the test. Every other
+    attribute (fit, payload, classes, ...) is the inner backend's, so a
+    wrapped backend can still be trained and saved."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -353,6 +354,10 @@ class CountingBackend:
     def predict_batch(self, xs):
         self.batches.append(len(xs))
         return self.inner.predict_batch(xs)
+
+    def predict_array(self, xs):
+        self.batches.append(len(xs))
+        return self.inner.predict_array(xs)
 
     def predict(self, x):
         raise AssertionError("scored one input at a time")

@@ -744,3 +744,58 @@ def _config_with(ws, tmp_path: Path, line) -> Path:
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("\n".join([*lines, f"model_dir = {tmp_path / 'models'}"]) + "\n", encoding="utf-8")
     return cfg
+
+
+class TestGoldLabelsAndOutputPaths:
+    """A gold label outside the veracity classes is a data error (exit 2),
+    and an output path that cannot be written a usage error (exit 1); both
+    end in one line on stderr, not a traceback."""
+
+    @staticmethod
+    def _one_line(capsys, *needles):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        for needle in needles:
+            assert needle in err, err
+
+    def test_key_file_label_outside_classes(self, ws, tmp_path, capsys):
+        doc = json.loads(Path(ws["test_key"]).read_text(encoding="utf-8"))
+        thread_id = sorted(doc["subtaskbenglish"])[0]
+        doc["subtaskbenglish"][thread_id] = "maybe"
+        key = tmp_path / "maybe-key.json"
+        key.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["evaluate", ws["test_dir"], "--config", ws["cfg"], "--key", str(key)]
+        assert main([*argv, "--out", str(tmp_path / "reports")]) == 2
+        self._one_line(capsys, "maybe-key.json", thread_id, "'maybe'")
+
+    def test_jsonl_gold_label_outside_classes(self, ws, tmp_path, capsys):
+        convs = load_split(ws["test_dir"], labels=load_key_file(ws["test_key"]))
+        records = [conversation_to_dict(c) for c in convs]
+        records[1]["gold_label"] = "maybe"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["evaluate", str(bad), "--config", ws["cfg"], "--out", str(tmp_path / "reports")]) == 2
+        self._one_line(capsys, "line 2 is not a conversation record", "'maybe'")
+
+    def test_classify_out_is_a_directory(self, ws, tmp_path, capsys):
+        assert main(["classify", ws["test_dir"], "--config", ws["cfg"], "--out", str(tmp_path)]) == 1
+        self._one_line(capsys, "cannot write", str(tmp_path))
+
+    def test_ingest_output_is_a_directory(self, ws, tmp_path, capsys):
+        assert main(["ingest", ws["test_dir"], str(tmp_path)]) == 1
+        self._one_line(capsys, "cannot write", str(tmp_path))
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate"])
+    def test_grid_out_is_a_file(self, ws, tmp_path, capsys, command):
+        taken = tmp_path / "reports"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        argv = [command, ws["test_dir"], "--config", ws["cfg"], "--key", ws["test_key"]]
+        assert main([*argv, "--out", str(taken)]) == 1
+        self._one_line(capsys, "cannot write", str(taken))
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_train_model_dir_is_a_file(self, ws, tmp_path, capsys):
+        taken = tmp_path / "models"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        assert main(["train", "--config", ws["cfg"], "--phase", "1", "--model-dir", str(taken)]) == 1
+        self._one_line(capsys, "cannot write", str(taken))

@@ -16,6 +16,7 @@ from rumorvet.backends import (
     TrainingRecipe,
     labeled_examples,
     load_model,
+    predict_rows,
     save_model,
 )
 from rumorvet.agreement import STANCE_CLASSES, build_phase22_training
@@ -63,9 +64,15 @@ def _pair(kind, classes, n_buckets, seed):
 
 
 def _assert_same_predictions(fast, oracle, probes):
+    """predict(), predict_batch() and the rows of predict_array() and
+    predict_rows() all equal the oracle's predict(), bit for bit."""
     expected = [oracle.predict(x) for x in probes]
     assert fast.predict_batch(probes) == expected
     assert [fast.predict(x) for x in probes] == expected
+    rows = fast.predict_array(probes)
+    assert rows.dtype == np.float64 and rows.shape == (len(probes), len(fast.classes))
+    assert [tuple(r) for r in rows.tolist()] == [p.values for p in expected]
+    assert [tuple(r) for r in predict_rows(fast, probes).tolist()] == [p.values for p in expected]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -225,6 +232,7 @@ def test_empty_batch():
     fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
     fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
     assert fast.predict_batch([]) == []
+    assert fast.predict_array([]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("channel", ["lie", "agreement"])
