@@ -22,7 +22,6 @@ from .backends import (
     ClassifierBackend,
     ReferenceBackend,
     TrainingRecipe,
-    labeled_examples,
     load_model,
     predict_all,
     predict_rows,
@@ -98,9 +97,7 @@ from .probs import (
     VERACITY_CLASSES,
     ProbVector,
     decide,
-    one_hot,
     self_entropy,
-    smooth_labels,
 )
 from .synthetic import SyntheticCorpus, SyntheticSpec, make_corpus, materialize
 

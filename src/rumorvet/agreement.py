@@ -26,7 +26,7 @@ import numpy as np
 from .backends import ClassifierBackend, predict_all
 from .certainty import ChannelAssignment, _load_tsv
 from .corpus import Conversation, primary_pairs
-from .errors import DegenerateEvidence, EmptyEvidence
+from .errors import DataError, DegenerateEvidence, EmptyEvidence
 from .predictions import (
     CHANNEL_AGREEMENT,
     WARN_DEGENERATE_EVIDENCE,
@@ -134,7 +134,7 @@ def build_phase22_training(
     finetune: list[LabeledPair] = []
     for conv in train_split:
         if conv.gold_label is None:
-            raise ValueError(f"thread {conv.thread.id} has no gold label")
+            raise DataError(f"thread {conv.thread.id!r} has no gold label (pass the train key file with --train-key)")
         stance = gold_to_stance.get(conv.gold_label)
         if stance is None:
             raise ValueError(f"no stance mapping for gold label {conv.gold_label!r}")

@@ -1,11 +1,11 @@
 """Pluggable sequence-classification backends.
 
-Every channel talks to a ClassifierBackend: fit on (input, target
-distribution) examples under a TrainingRecipe, then predict a ProbVector
-per input, or many inputs at a time as the rows of one predict_array.
-Inputs are single texts or (text, text) pairs depending on the backend's
-input kind. Calling fit twice continues training from the current state,
-which is how the pretrain-then-fine-tune recipes are realized.
+Every channel talks to a ClassifierBackend: fit on (input, class name)
+examples under a TrainingRecipe, then score many inputs at a time as the
+rows of one predict_array. Inputs are single texts or (text, text) pairs
+depending on the backend's input kind. Calling fit twice continues
+training from the current state, which is how the pretrain-then-fine-tune
+recipes are realized.
 
 The reference backend is a hashed bag-of-words softmax classifier trained
 by deterministic minibatch gradient descent, so the whole pipeline runs
@@ -29,9 +29,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ModelError, ModelFormatError, UntrainedBackend
-from .probs import _SUM_TOL, ProbVector, one_hot
+from .probs import _SUM_TOL, ProbVector
 
 BackendInput = Union[str, tuple[str, str]]
+LabeledInput = tuple[BackendInput, str]
 
 INPUT_TEXT = "text"
 INPUT_PAIR = "pair"
@@ -72,66 +73,60 @@ class TrainingRecipe:
 class ClassifierBackend(abc.ABC):
     """Behavior contract shared by all classification backends.
 
-    fit() smooths the given hard targets itself (recipe.label_smoothing),
-    so channels pass one-hot targets. predict() must be deterministic for a
-    fixed trained state, safe for concurrent read-only use, and return a
-    distribution over self.classes in order. predict_batch() returns
-    exactly what predict() would for each input, in input order, and
-    predict_array() their values as the rows of an (n, K) float64 array;
-    the defaults loop over predict() and stack predict_batch(). Scoring
-    reads arrays and builds ProbVectors only for what it writes (evidence,
-    routing confidence) and for the per-item API.
+    fit() trains on (input, class name) examples and smooths the hard
+    targets itself (recipe.label_smoothing); a label outside self.classes
+    is a ValueError. predict_array() must be deterministic for a fixed
+    trained state, safe for concurrent read-only use, and return input i's
+    distribution over self.classes, in order, as row i of an (n, K)
+    float64 array. Scoring reads arrays and builds ProbVectors only for
+    what it writes (evidence, routing confidence) and for predict().
     """
 
     classes: tuple[str, ...]
     input_kind: str
 
     @abc.abstractmethod
-    def fit(self, examples: Sequence[tuple[BackendInput, ProbVector]], recipe: TrainingRecipe) -> None:
+    def fit(self, examples: Sequence[LabeledInput], recipe: TrainingRecipe) -> None:
         """Train (or continue training) on the given examples."""
 
     @abc.abstractmethod
+    def predict_array(self, xs: Sequence[BackendInput]) -> np.ndarray:
+        """Distributions over self.classes as the rows of a (len(xs), K) float64 array."""
+
     def predict(self, x: BackendInput) -> ProbVector:
         """Distribution over self.classes for one input."""
-
-    def predict_batch(self, xs: Sequence[BackendInput]) -> list[ProbVector]:
-        """predict() for every input, in input order."""
-        return [self.predict(x) for x in xs]
-
-    def predict_array(self, xs: Sequence[BackendInput]) -> np.ndarray:
-        """predict_batch()'s values as the rows of a (len(xs), K) float64 array."""
-        values = [p.values for p in self.predict_batch(xs)]
-        return np.array(values, dtype=np.float64).reshape(len(xs), len(self.classes))
+        return ProbVector(tuple(self.predict_array([x])[0].tolist()))
 
 
-def predict_rows(backend, xs: Sequence[BackendInput]) -> np.ndarray:
+def smoothed_targets(labels: Sequence[str], classes: Sequence[str], rate: float) -> np.ndarray:
+    """(n, K) training targets: each label's one-hot row over classes,
+    blended toward uniform as (1 - rate) * t + rate / K. A label outside
+    classes is a ValueError."""
+    index = {c: i for i, c in enumerate(classes)}
+    unknown = [label for label in labels if label not in index]
+    if unknown:
+        raise ValueError(f"label {unknown[0]!r} not in classes {tuple(classes)}")
+    k = len(classes)
+    return (1.0 - rate) * np.eye(k)[[index[label] for label in labels]] + rate / k
+
+
+def predict_rows(backend: ClassifierBackend, xs: Sequence[BackendInput]) -> np.ndarray:
     """Input i's distribution as row i of an (n, K) array, from one
     predict_array() call; channels reach backends only through here. An
-    empty list makes no call and gives a (0, 0) array; a duck-typed backend
-    with only predict() is scored one input at a time. The batch is checked
+    empty list makes no call and gives a (0, 0) array. The batch is checked
     once with ProbVector's bounds; a bad row is a ValueError."""
     if not xs:
         return np.empty((0, 0))
-    array = getattr(backend, "predict_array", None)
-    rows = np.asarray(array(xs) if array else [backend.predict(x).values for x in xs], dtype=np.float64)
+    rows = np.asarray(backend.predict_array(xs), dtype=np.float64)
     ok = rows.ndim == 2 and len(rows) == len(xs) and np.all((rows >= -_SUM_TOL) & (rows <= 1.0 + _SUM_TOL))
     if not (ok and np.all(np.abs(rows.sum(axis=1) - 1.0) <= _SUM_TOL)):  # NaN fails both tests
         raise ValueError(f"{type(backend).__name__} returned rows that are not probability distributions")
     return rows
 
 
-def predict_all(backend, xs: Sequence[BackendInput]) -> list[ProbVector]:
+def predict_all(backend: ClassifierBackend, xs: Sequence[BackendInput]) -> list[ProbVector]:
     """predict_rows() as one ProbVector per input, for callers that keep each one."""
     return [ProbVector(tuple(row)) for row in predict_rows(backend, xs).tolist()]
-
-
-def labeled_examples(
-    pairs: Sequence[tuple[BackendInput, str]], classes: tuple[str, ...]
-) -> list[tuple[BackendInput, ProbVector]]:
-    """Turn (input, label) pairs into the hard-target form fit() expects,
-    sharing one (frozen) one-hot ProbVector per class."""
-    hot = {c: one_hot(c, classes) for c in classes}
-    return [(x, hot[label] if label in hot else one_hot(label, classes)) for x, label in pairs]
 
 
 # Inputs featurised and scored together. Bounds the working set of a large
@@ -261,15 +256,10 @@ class ReferenceBackend(ClassifierBackend):
             )
         return z
 
-    def fit(self, examples: Sequence[tuple[BackendInput, ProbVector]], recipe: TrainingRecipe) -> None:
+    def fit(self, examples: Sequence[LabeledInput], recipe: TrainingRecipe) -> None:
         if not examples:
             raise ValueError("fit needs at least one example")
-        k = len(self.classes)
-        for _, target in examples:
-            if target.k != k:
-                raise ValueError(f"target has {target.k} components, backend has {k} classes")
-        rate = recipe.label_smoothing  # smoothed with probs.smooth_labels' IEEE operations
-        targets = (1.0 - rate) * np.array([t.values for _, t in examples]) + rate / k
+        targets = smoothed_targets([label for _, label in examples], self.classes, recipe.label_smoothing)
         batches = self._batches([x for x, _ in examples], targets, recipe.batch_size)
         self._ensure_initialized()
         for batch in batches * recipe.epochs:  # every epoch replays the same batches
@@ -323,12 +313,6 @@ class ReferenceBackend(ClassifierBackend):
         return rows
 
     # -- inference ---------------------------------------------------------
-
-    def predict(self, x: BackendInput) -> ProbVector:
-        return self.predict_batch([x])[0]
-
-    def predict_batch(self, xs: Sequence[BackendInput]) -> list[ProbVector]:
-        return [ProbVector(tuple(row)) for row in self.predict_array(xs).tolist()]
 
     def predict_array(self, xs: Sequence[BackendInput]) -> np.ndarray:
         if self._bias is None or not self._recipes:

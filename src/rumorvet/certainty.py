@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .backends import ClassifierBackend, TrainingRecipe, labeled_examples, predict_all, predict_rows
+from .backends import ClassifierBackend, TrainingRecipe, predict_all, predict_rows
 from .corpus import Conversation, Post
 from .errors import CorpusFormatError, InsufficientClassExamples
 from .probs import ProbVector
@@ -108,11 +108,11 @@ def train_phase1(
     seed: int,
 ) -> ClassifierBackend:
     """Run the full Phase-1 recipe: pretrain, self-label, balanced fine-tune."""
-    backend.fit(labeled_examples(pretrain_corpus, CERTAINTY_CLASSES), pretrain_recipe)
+    backend.fit(pretrain_corpus, pretrain_recipe)
     machine_labeled = self_label(backend, train_split)
     _, balanced = build_phase1_training(pretrain_corpus, machine_labeled, per_class, seed)
     if balanced:
-        backend.fit(labeled_examples(balanced, CERTAINTY_CLASSES), finetune_recipe)
+        backend.fit(balanced, finetune_recipe)
     return backend
 
 
@@ -155,6 +155,8 @@ def _load_tsv(path, valid_labels: tuple[str, ...], n_text_cols: int):
             out.append((texts[0], label))
         else:
             out.append((tuple(texts), label))
+    if not out:
+        raise CorpusFormatError(f"{path}: no example lines")
     return out
 
 

@@ -228,6 +228,9 @@ def _load_conversations(
             convs = [dataclasses.replace(c, gold_label=labels.get(c.thread.id, c.gold_label)) for c in convs]
     if not convs:
         raise DataError(f"no conversations found in {source}")
+    repeated = [tid for tid, n in Counter(c.thread.id for c in convs).items() if n > 1]
+    if repeated:
+        raise DataError(f"thread id {repeated[0]!r} appears more than once", path=source)
     return convs
 
 

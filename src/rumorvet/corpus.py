@@ -398,7 +398,7 @@ def load_key_file(path) -> dict[str, str]:
     labels = {str(k): str(v).lower() for k, v in obj.items() if not isinstance(v, dict)}
     for tid, label in labels.items():
         if label not in VERACITY_CLASSES:
-            raise MalformedStructure(f"thread {tid}: gold label {label!r} not in {VERACITY_CLASSES}", path=path)
+            raise MalformedStructure(f"thread {tid!r}: gold label {label!r} not in {VERACITY_CLASSES}", path=path)
     return labels
 
 

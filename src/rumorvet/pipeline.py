@@ -27,7 +27,6 @@ from .backends import (
     INPUT_TEXT,
     ClassifierBackend,
     TrainingRecipe,
-    labeled_examples,
     predict_all,
     predict_rows,
 )
@@ -338,9 +337,9 @@ def train_backend(
     else:
         pretrain, finetune = build_phase21_training(corpus, train_split, routing if name == "lie" else None)
         recipes = (plan.lie_pretrain, plan.lie_finetune)
-    backend.fit(labeled_examples(pretrain, classes), recipes[0])
+    backend.fit(pretrain, recipes[0])
     if finetune:
-        backend.fit(labeled_examples(finetune, classes), recipes[1])
+        backend.fit(finetune, recipes[1])
     return backend
 
 

@@ -64,13 +64,6 @@ class ProbVector:
         return iter(self.values)
 
 
-def one_hot(label: str, classes: tuple[str, ...]) -> ProbVector:
-    """Hard target for `label` under the given class ordering."""
-    if label not in classes:
-        raise ValueError(f"label {label!r} not in classes {classes}")
-    return ProbVector(tuple(1.0 if c == label else 0.0 for c in classes))
-
-
 def self_entropy(p: ProbVector) -> float:
     """Base-2 normalized Shannon entropy of a 2-class distribution.
 
@@ -85,14 +78,6 @@ def self_entropy(p: ProbVector) -> float:
             acc += v * math.log(v)
     h = -acc / math.log(2.0)
     return min(1.0, max(0.0, h))
-
-
-def smooth_labels(target: ProbVector, rate: float) -> ProbVector:
-    """Blend a target distribution toward uniform: (1-rate)*t + rate/K."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"smoothing rate must be in [0, 1), got {rate}")
-    k = target.k
-    return ProbVector(tuple((1.0 - rate) * v + rate / k for v in target.values))
 
 
 def decide(p: ProbVector, labels: tuple[str, str], epsilon: float = DEFAULT_ENTROPY_EPSILON) -> str:

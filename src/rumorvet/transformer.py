@@ -14,15 +14,18 @@ import base64
 import io
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .backends import (
     INPUT_PAIR,
     INPUT_TEXT,
     BackendInput,
     ClassifierBackend,
+    LabeledInput,
     TrainingRecipe,
+    smoothed_targets,
 )
 from .errors import ModelError, UntrainedBackend
-from .probs import ProbVector, smooth_labels
 
 DEFAULT_MODEL_NAME = "bert-base-uncased"
 
@@ -110,19 +113,12 @@ class TransformerBackend(ClassifierBackend):
 
     # -- training ----------------------------------------------------------
 
-    def fit(
-        self, examples: Sequence[tuple[BackendInput, ProbVector]], recipe: TrainingRecipe
-    ) -> None:
+    def fit(self, examples: Sequence[LabeledInput], recipe: TrainingRecipe) -> None:
         if not examples:
             raise ValueError("fit needs at least one example")
+        targets = smoothed_targets([label for _, label in examples], self.classes, recipe.label_smoothing)
         torch = _import_torch()
         self._ensure_model()
-        k = len(self.classes)
-        targets = []
-        for _, target in examples:
-            if target.k != k:
-                raise ValueError(f"target has {target.k} components, backend has {k} classes")
-            targets.append(smooth_labels(target, recipe.label_smoothing).values)
         inputs = [x for x, _ in examples]
         optimizer = torch.optim.Adam(self._model.parameters(), lr=recipe.learning_rate)
         self._model.train()
@@ -143,15 +139,18 @@ class TransformerBackend(ClassifierBackend):
 
     # -- inference ---------------------------------------------------------
 
-    def predict(self, x: BackendInput) -> ProbVector:
+    def predict_array(self, xs: Sequence[BackendInput]) -> np.ndarray:
+        """One forward pass per input, so padding never mixes inputs."""
         if not self._fitted:
             raise UntrainedBackend("transformer backend has not been fitted")
         torch = _import_torch()
         self._model.eval()
+        out = np.empty((len(xs), len(self.classes)))
         with torch.no_grad():
-            logits = self._model(**self._encode([x])).logits[0]
-            probs = torch.softmax(logits, dim=-1).cpu().tolist()
-        return ProbVector(tuple(float(v) for v in probs))
+            for i, x in enumerate(xs):
+                logits = self._model(**self._encode([x])).logits[0]
+                out[i] = torch.softmax(logits, dim=-1).cpu().tolist()
+        return out
 
     # -- persistence -------------------------------------------------------
 

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from rumorvet.backends import ClassifierBackend
 from rumorvet.certainty import CERTAINTY_CLASSES, ChannelAssignment
 from rumorvet.corpus import Conversation, Post, Reply, clean_text, filter_window
 from rumorvet.errors import UnparseableTimestamp, UntrainedBackend
@@ -32,7 +33,7 @@ from rumorvet.predictions import (
     WARN_NO_PRIMARY_REPLIES,
     VeracityPrediction,
 )
-from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector, decide, self_entropy, smooth_labels
+from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector, decide, self_entropy
 
 BASE_TIME = datetime(2019, 1, 7, 12, 0, tzinfo=timezone.utc)
 
@@ -53,6 +54,27 @@ def aggregate_oracle(softmaxes: Sequence[tuple[Fraction, Fraction, Fraction]]):
     if total == 0:
         return None
     return (a / total, b / total)
+
+
+def one_hot(label: str, classes: tuple[str, ...]) -> ProbVector:
+    """Hard target for `label` under the given class ordering."""
+    if label not in classes:
+        raise ValueError(f"label {label!r} not in classes {classes}")
+    return ProbVector(tuple(1.0 if c == label else 0.0 for c in classes))
+
+
+def smooth_labels(target: ProbVector, rate: float) -> ProbVector:
+    """Blend a target distribution toward uniform: (1-rate)*t + rate/K."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"smoothing rate must be in [0, 1), got {rate}")
+    k = target.k
+    return ProbVector(tuple((1.0 - rate) * v + rate / k for v in target.values))
+
+
+def one_hot_examples(pairs, classes):
+    """(input, label) pairs as the (input, one-hot ProbVector) examples
+    OracleBackend.fit() takes."""
+    return [(x, one_hot(label, classes)) for x, label in pairs]
 
 
 def metrics_oracle(counts: Sequence[Sequence[int]]):
@@ -127,7 +149,8 @@ def parse_timestamp_oracle(value) -> datetime:
 
 class OracleBackend:
     """The per-example hashed bag-of-words classifier, kept as the oracle
-    for ReferenceBackend's array code.
+    for ReferenceBackend's array code. Its fit() takes one target
+    distribution per example (see one_hot_examples()).
 
     Features are a dict of bucket -> count per input, logits add
     count * row in first-occurrence order, and each minibatch step sums
@@ -339,10 +362,10 @@ def spread_reply_ages(conv: Conversation, k: int) -> Conversation:
 
 
 class CountingBackend:
-    """Records the size of each batch call, predict_batch() or
-    predict_array(); a per-item predict() call fails the test. Every other
-    attribute (fit, payload, classes, ...) is the inner backend's, so a
-    wrapped backend can still be trained and saved."""
+    """Records the size of each predict_array() call; a per-item predict()
+    call fails the test. Every other attribute (fit, payload, classes, ...)
+    is the inner backend's, so a wrapped backend can still be trained and
+    saved."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -351,16 +374,28 @@ class CountingBackend:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def predict_batch(self, xs):
-        self.batches.append(len(xs))
-        return self.inner.predict_batch(xs)
-
     def predict_array(self, xs):
         self.batches.append(len(xs))
         return self.inner.predict_array(xs)
 
     def predict(self, x):
         raise AssertionError("scored one input at a time")
+
+
+class TableBackend(ClassifierBackend):
+    """A fixed, untrainable test backend: row(x) is input x's distribution.
+    Records every input it scores in calls."""
+
+    def __init__(self, row):
+        self.row = row
+        self.calls = []
+
+    def fit(self, examples, recipe):
+        raise AssertionError("a table backend is not trained")
+
+    def predict_array(self, xs):
+        self.calls.extend(xs)
+        return np.array([self.row(x) for x in xs], dtype=np.float64).reshape(len(xs), -1)
 
 
 # -- strategies --------------------------------------------------------------

@@ -47,10 +47,10 @@ def trained(named_backends):
 @pytest.fixture()
 def tiny_backend():
     """A fitted 2-class text backend over a separable toy vocabulary."""
-    from rumorvet.backends import TrainingRecipe, labeled_examples
+    from rumorvet.backends import TrainingRecipe
 
     backend = ReferenceBackend(("yes", "no"), seed=0)
     examples = [("good fine great", "yes"), ("bad awful poor", "no")] * 4
     recipe = TrainingRecipe(epochs=5, batch_size=2, learning_rate=5e-5, label_smoothing=0.1)
-    backend.fit(labeled_examples(examples, ("yes", "no")), recipe)
+    backend.fit(examples, recipe)
     return backend

@@ -36,7 +36,7 @@ from rumorvet.predictions import CHANNEL_AGREEMENT, CHANNEL_LIE
 from rumorvet.probs import ProbVector, self_entropy
 from rumorvet.synthetic import SyntheticSpec, make_corpus, materialize
 
-from ._support import aggregate_oracle, make_conv
+from ._support import TableBackend, aggregate_oracle, make_conv
 
 ENV_VARS = {
     "train_dir": "RUMORVET_SEMEVAL_TRAIN_DIR",
@@ -147,25 +147,19 @@ def test_criterion_3_aggregation_oracle():
     assert time.perf_counter() - start < 10.0
 
 
-class _TablePhase1:
-    def __init__(self, table):
-        self.table = table
-
-    def predict(self, text):
-        return ProbVector((0.9, 0.1) if self.table[text] == "certain" else (0.1, 0.9))
+def _table_phase1(table):
+    return TableBackend(lambda text: (0.9, 0.1) if table[text] == "certain" else (0.1, 0.9))
 
 
-class _Fixed:
-    def __init__(self, values):
-        self.values = values
-
-    def predict(self, x):
-        return ProbVector(self.values)
+def _fixed(values):
+    return TableBackend(lambda x: values)
 
 
-class _Exploding:
-    def predict(self, text):
+def _exploding():
+    def explode(text):
         raise AssertionError("phase 1 must not be consulted in single modes")
+
+    return TableBackend(explode)
 
 
 def test_criterion_4_routing_properties():
@@ -173,15 +167,15 @@ def test_criterion_4_routing_properties():
     random routing tables; single modes never consult Phase 1. Under 10s."""
     start = time.perf_counter()
     rng = random.Random(7)
-    lie = _Fixed((0.8, 0.2))
-    agreement_stub = _Fixed((0.7, 0.1, 0.2))
+    lie = _fixed((0.8, 0.2))
+    agreement_stub = _fixed((0.7, 0.1, 0.2))
     for _ in range(500):
         n = rng.randint(1, 8)
         convs = [
             make_conv(f"t{i}", f"thread text {i}", [("a reply", 60, True)]) for i in range(n)
         ]
         table = {c.thread.text_clean: rng.choice(("certain", "uncertain")) for c in convs}
-        backends = {"phase1": _TablePhase1(table), "lie": lie, "agreement": agreement_stub}
+        backends = {"phase1": _table_phase1(table), "lie": lie, "agreement": agreement_stub}
         double = {
             c.thread.id: classify(c, PipelineConfig(mode=MODE_DOUBLE), backends) for c in convs
         }
@@ -197,7 +191,7 @@ def test_criterion_4_routing_properties():
             expected = CHANNEL_LIE if table[c.thread.text_clean] == "certain" else CHANNEL_AGREEMENT
             assert d.channel == expected
 
-        singles = {"phase1": _Exploding(), "lie_unrouted": lie, "agreement": agreement_stub}
+        singles = {"phase1": _exploding(), "lie_unrouted": lie, "agreement": agreement_stub}
         probe = convs[0]
         assert classify(probe, PipelineConfig(mode=MODE_SINGLE_LIE), singles).channel == CHANNEL_LIE
         assert (
@@ -246,7 +240,7 @@ def test_criterion_6_dataset_dependent_checks():
     _, finetune_pairs = build_phase22_training([], train)
     assert len(finetune_pairs) == 2372
 
-    backends = {"phase1": _Fixed((0.6, 0.4)), "lie": _Fixed((0.8, 0.2)), "agreement": _Fixed((0.5, 0.3, 0.2))}
+    backends = {"phase1": _fixed((0.6, 0.4)), "lie": _fixed((0.8, 0.2)), "agreement": _fixed((0.5, 0.3, 0.2))}
     preds = run_batch(test, PipelineConfig(mode=MODE_DOUBLE), backends)
     assert len(preds) == 81
 

@@ -16,7 +16,7 @@ from rumorvet.agreement import (
     load_agreement_corpus,
     score_pairs,
 )
-from rumorvet.errors import CorpusFormatError, DegenerateEvidence, EmptyEvidence
+from rumorvet.errors import CorpusFormatError, DataError, DegenerateEvidence, EmptyEvidence
 from rumorvet.predictions import (
     CHANNEL_AGREEMENT,
     WARN_DEGENERATE_EVIDENCE,
@@ -24,7 +24,7 @@ from rumorvet.predictions import (
 )
 from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector
 
-from ._support import aggregate_oracle, make_conv, rational_softmaxes
+from ._support import TableBackend, aggregate_oracle, make_conv, rational_softmaxes
 
 
 def _score(vals):
@@ -84,14 +84,9 @@ class TestAggregate:
         assert one.values == pytest.approx(three.values, abs=1e-12)
 
 
-class _FixedBackend:
+def _fixed_backend(table):
     """Replays a fixed softmax per reply text."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def predict(self, pair):
-        return ProbVector(self.table[pair[1]])
+    return TableBackend(lambda pair: table[pair[1]])
 
 
 class TestClassifyAgreement:
@@ -99,7 +94,7 @@ class TestClassifyAgreement:
         return make_conv("t9", "claim", [(t, 60 * (i + 1), True) for i, t in enumerate(reply_texts)])
 
     def test_agreeing_crowd_says_true(self):
-        backend = _FixedBackend({"a": (0.7, 0.1, 0.2), "b": (0.6, 0.2, 0.2)})
+        backend = _fixed_backend({"a": (0.7, 0.1, 0.2), "b": (0.6, 0.2, 0.2)})
         pred = classify_agreement(self._conv("a", "b"), backend, 1e-3)
         assert pred.label == TRUE
         assert pred.channel == CHANNEL_AGREEMENT
@@ -107,32 +102,32 @@ class TestClassifyAgreement:
         assert pred.warnings == ()
 
     def test_disagreeing_crowd_says_false(self):
-        backend = _FixedBackend({"a": (0.1, 0.7, 0.2)})
+        backend = _fixed_backend({"a": (0.1, 0.7, 0.2)})
         assert classify_agreement(self._conv("a"), backend, 1e-3).label == FALSE
 
     def test_split_crowd_abstains(self):
-        backend = _FixedBackend({"a": (0.4, 0.1, 0.5), "b": (0.1, 0.4, 0.5)})
+        backend = _fixed_backend({"a": (0.4, 0.1, 0.5), "b": (0.1, 0.4, 0.5)})
         pred = classify_agreement(self._conv("a", "b"), backend, 1e-3)
         assert pred.label == UNVERIFIED
         assert pred.entropy == pytest.approx(1.0)
 
     def test_no_primary_replies_abstains_with_warning(self):
         conv = make_conv("t9", "claim", [("nested", 60, False)])
-        pred = classify_agreement(conv, _FixedBackend({}), 1e-3)
+        pred = classify_agreement(conv, _fixed_backend({}), 1e-3)
         assert pred.label == UNVERIFIED
         assert pred.n_replies_used == 0
         assert pred.warnings == (WARN_NO_PRIMARY_REPLIES,)
         assert pred.evidence == ProbVector((0.5, 0.5))
 
     def test_degenerate_evidence_abstains_with_warning(self):
-        backend = _FixedBackend({"a": (0.0, 0.0, 1.0)})
+        backend = _fixed_backend({"a": (0.0, 0.0, 1.0)})
         pred = classify_agreement(self._conv("a"), backend, 1e-3)
         assert pred.label == UNVERIFIED
         assert pred.warnings == (WARN_DEGENERATE_EVIDENCE,)
         assert pred.n_replies_used == 1
 
     def test_score_pairs_reply_order(self):
-        backend = _FixedBackend({"x": (0.5, 0.3, 0.2), "y": (0.2, 0.3, 0.5)})
+        backend = _fixed_backend({"x": (0.5, 0.3, 0.2), "y": (0.2, 0.3, 0.5)})
         scores = score_pairs(self._conv("x", "y"), backend)
         assert scores == [ProbVector((0.5, 0.3, 0.2)), ProbVector((0.2, 0.3, 0.5))]
 
@@ -161,7 +156,7 @@ class TestBuildTraining:
         assert finetune == [(("claim", "keep"), STANCE_AGREE)]
 
     def test_missing_gold_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="thread 'a' has no gold label"):
             build_phase22_training([], [make_conv("a", gold=None)])
 
     def test_unmapped_gold_rejected(self):

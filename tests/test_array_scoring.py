@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumorvet.agreement import aggregate, agreement_prediction
-from rumorvet.backends import ClassifierBackend, predict_all, predict_rows
+from rumorvet.backends import predict_all, predict_rows
 from rumorvet.corpus import SECONDS_PER_DAY, primary_pairs
 from rumorvet.errors import DegenerateEvidence
 from rumorvet.pipeline import MODE_SINGLE_AGREEMENT, score_grid
 from rumorvet.probs import ProbVector
 
-from ._support import aggregate_oracle, conversations, rational_softmaxes
+from ._support import TableBackend, aggregate_oracle, conversations, rational_softmaxes
 
 
 def _floats(softmaxes):
@@ -48,16 +48,10 @@ def test_aggregate_rejects_arrays_without_three_columns():
         aggregate(np.array([[0.5, 0.5]]))
 
 
-class _StanceTable:
-    """A predict-only duck-typed stance backend: a fixed softmax per reply text."""
-
-    def __init__(self):
-        self.seen = []
-
-    def predict(self, pair):
-        self.seen.append(pair)
-        w = [1 + (sum(map(ord, pair[1])) >> k) % 5 for k in (0, 2, 4)]
-        return ProbVector(tuple(v / sum(w) for v in w))
+def _stance(pair):
+    """A fixed softmax per reply text."""
+    w = [1 + (sum(map(ord, pair[1])) >> k) % 5 for k in (0, 2, 4)]
+    return tuple(v / sum(w) for v in w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,7 +60,7 @@ def test_windowed_mask_equals_list_filter(convs, days):
     """A windowed grid row masks each thread's stance rows by reply age; the
     list filter over per-reply ProbVectors it replaced gives the same
     predictions, and the unwindowed row uses every row."""
-    backend = _StanceTable()
+    backend = TableBackend(_stance)
     rows = [(MODE_SINGLE_AGREEMENT, None), (MODE_SINGLE_AGREEMENT, days)]
     full, windowed = score_grid(convs, rows, {"agreement": backend}, keep_all=True)
     for conv, whole, masked in zip(convs, full.predictions, windowed.predictions):
@@ -114,27 +108,14 @@ def test_predict_rows_rejects_a_wrong_row_count():
         predict_rows(_Fixed([(0.5, 0.5)]), ["a", "b"])
 
 
-def test_predict_rows_on_predict_only_and_empty():
-    backend = _StanceTable()
+def test_predict_rows_on_empty():
+    backend = TableBackend(_stance)
+    assert predict_rows(backend, []).size == 0 and backend.calls == []  # no call, no classes needed
+
+
+def test_default_predict_is_the_predict_array_row():
+    backend = TableBackend(_stance)
     pairs = [("t", "yes"), ("t", "no")]
-    rows = predict_rows(backend, pairs)
-    assert rows.shape == (2, 3)
-    assert [tuple(r) for r in rows.tolist()] == [backend.predict(x).values for x in pairs]
-    backend.seen.clear()
-    assert predict_rows(backend, []).size == 0 and backend.seen == []  # no call, no classes needed
-
-
-def test_default_predict_array_stacks_predict_batch():
-    class PerItem(ClassifierBackend):
-        classes = ("yes", "no")
-        input_kind = "text"
-
-        def fit(self, examples, recipe):
-            pass
-
-        def predict(self, x):
-            return ProbVector((0.25, 0.75) if "no" in x else (0.5, 0.5))
-
-    backend = PerItem()
-    assert backend.predict_array(["no", "yes"]).tolist() == [[0.25, 0.75], [0.5, 0.5]]
-    assert backend.predict_array([]).shape == (0, 2)
+    rows = backend.predict_array(pairs)
+    assert [backend.predict(x).values for x in pairs] == [tuple(r) for r in rows.tolist()]
+    assert [p.values for p in predict_all(backend, pairs)] == [tuple(r) for r in rows.tolist()]

@@ -10,12 +10,10 @@ from rumorvet.backends import (
     INPUT_TEXT,
     ReferenceBackend,
     TrainingRecipe,
-    labeled_examples,
     load_model,
     save_model,
 )
 from rumorvet.errors import ModelFormatError, UntrainedBackend
-from rumorvet.probs import one_hot
 
 from ._support import texts
 
@@ -34,7 +32,7 @@ TEXT_PAIRS = [
 def _trained(seed=0, smoothing=0.0, epochs=20):
     backend = ReferenceBackend(("yes", "no"), INPUT_TEXT, seed=seed)
     recipe = TrainingRecipe(epochs=epochs, batch_size=4, learning_rate=5e-5, label_smoothing=smoothing)
-    backend.fit(labeled_examples(TEXT_PAIRS, ("yes", "no")), recipe)
+    backend.fit(TEXT_PAIRS, recipe)
     return backend
 
 
@@ -71,10 +69,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ReferenceBackend(classes)
 
-    def test_labeled_examples_one_hot(self):
-        out = labeled_examples([("x", "b")], ("a", "b"))
-        assert out == [("x", one_hot("b", ("a", "b")))]
-
 
 class TestLearning:
     def test_separates_classes(self):
@@ -93,7 +87,7 @@ class TestLearning:
             (("claim text", "i agree completely"), "yes"),
             (("claim text", "i deny this"), "no"),
         ] * 3
-        backend.fit(labeled_examples(pairs, ("yes", "no")), RECIPE)
+        backend.fit(pairs, RECIPE)
         forward = backend.predict(("claim text", "i agree completely"))
         swapped = backend.predict(("i agree completely", "claim text"))
         assert forward.values[0] > swapped.values[0]
@@ -102,11 +96,12 @@ class TestLearning:
         with pytest.raises(ValueError):
             ReferenceBackend(("a", "b")).fit([], RECIPE)
 
-    def test_target_arity_mismatch(self):
+    def test_label_outside_classes(self):
         backend = ReferenceBackend(("a", "b"))
-        bad = [("x", one_hot("t", ("t", "f", "u")))]
-        with pytest.raises(ValueError):
-            backend.fit(bad, RECIPE)
+        with pytest.raises(ValueError, match="'t' not in classes"):
+            backend.fit([("x", "a"), ("y", "t")], RECIPE)
+        with pytest.raises(UntrainedBackend):  # rejected before any training
+            backend.payload()
 
     def test_text_backend_rejects_pair(self):
         with pytest.raises(ValueError):
@@ -114,14 +109,14 @@ class TestLearning:
 
     def test_pair_backend_rejects_text(self):
         backend = ReferenceBackend(("a", "b"), INPUT_PAIR)
-        backend.fit(labeled_examples([(("x", "y"), "a")], ("a", "b")), RECIPE)
+        backend.fit([(("x", "y"), "a")], RECIPE)
         for bad in ("just text", ("one",), ("a", "b", "c")):
             with pytest.raises(ValueError):
                 backend.predict(bad)
 
     def test_continued_training_appends_recipe(self):
         backend = _trained()
-        backend.fit(labeled_examples(TEXT_PAIRS[:2], ("yes", "no")), RECIPE)
+        backend.fit(TEXT_PAIRS[:2], RECIPE)
         assert len(backend.payload()["recipes"]) == 2
 
     @given(texts)

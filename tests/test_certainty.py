@@ -37,9 +37,7 @@ HEDGE_CORPUS = [
 
 def _hedge_backend(seed=0):
     backend = ReferenceBackend(CERTAINTY_CLASSES, INPUT_TEXT, seed=seed)
-    from rumorvet.backends import labeled_examples
-
-    backend.fit(labeled_examples(HEDGE_CORPUS, CERTAINTY_CLASSES), RECIPE)
+    backend.fit(HEDGE_CORPUS, RECIPE)
     return backend
 
 

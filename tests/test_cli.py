@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumorvet.agreement import load_agreement_corpus
@@ -113,7 +113,7 @@ class TestTrain(object):
 
     def test_train_all_routes_the_train_split_once(self, ws, tmp_path, monkeypatch, capsys):
         """The printed routing summary and the lie fine-tune set share one
-        predict_batch call on the freshly trained router."""
+        predict_array call on the freshly trained router."""
         routers = []
 
         def counting_train(name, *args):
@@ -799,3 +799,164 @@ class TestGoldLabelsAndOutputPaths:
         taken.write_text("not a directory\n", encoding="utf-8")
         assert main(["train", "--config", ws["cfg"], "--phase", "1", "--model-dir", str(taken)]) == 1
         self._one_line(capsys, "cannot write", str(taken))
+
+
+def _run(argv) -> tuple[int, str]:
+    """main(argv) with stdout and stderr captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestMissingInputs:
+    """Training inputs that are absent or empty, and a thread id given twice,
+    are data errors (exit 2) with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "corpus,flags",
+        [("hedge", ["--phase", "1"]), ("deception", ["--phase", "2-1", "--mode", "single_lie"]),
+         ("agreement", ["--phase", "2-2"])],
+    )
+    def test_empty_pretrain_corpus(self, ws, tmp_path, corpus, flags):
+        empty = tmp_path / f"empty-{corpus}.tsv"
+        empty.write_text("\n  \n", encoding="utf-8")
+        argv = ["train", "--config", ws["cfg"], f"--{corpus}-corpus", str(empty), *flags]
+        rc, err = _run([*argv, "--model-dir", str(tmp_path / "models")])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert f"empty-{corpus}.tsv" in err and "no example lines" in err
+        assert not (tmp_path / "models").exists()
+
+    def test_agreement_training_without_train_key(self, ws, tmp_path):
+        cfg = _config_with(ws, tmp_path, "train_key = none")
+        rc, err = _run(["train", "--config", str(cfg), "--phase", "2-2"])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert "has no gold label" in err and "--train-key" in err
+        assert not (tmp_path / "models").exists()
+
+    def test_repeated_jsonl_thread(self, ws, tmp_path):
+        records = [conversation_to_dict(c) for c in load_split(ws["test_dir"])]
+        lines = [json.dumps(r) + "\n" for r in records]
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("".join(lines + lines[3:4]), encoding="utf-8")
+        out = tmp_path / "reports"
+        rc, err = _run(["evaluate", str(dup), "--config", ws["cfg"], "--key", ws["test_key"], "--out", str(out)])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert repr(records[3]["thread"]["id"]) in err and "more than once" in err and "dup.jsonl" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "classify"])
+    def test_repeated_tree_thread(self, ws, tmp_path, command):
+        tree = tmp_path / "tree"
+        shutil.copytree(ws["test_dir"], tree)
+        first = sorted(p for p in tree.iterdir() if p.is_dir())[0]
+        shutil.copytree(first, tree / "copy-of-first")
+        out = tmp_path / "out.jsonl"
+        argv = ["ingest", str(tree), str(out)] if command == "ingest" else [
+            "classify", str(tree), "--config", ws["cfg"], "--out", str(out)]
+        rc, err = _run(argv)
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert repr(load_split(first)[0].thread.id) in err and "more than once" in err
+        assert not out.exists()
+
+
+# -- the loaders, fuzzed through the CLI ---------------------------------------
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_LABEL_WORDS = ("true", "false", "unverified", "certain", "uncertain", "truthful", "deceptive",
+                "agreement", "disagreement", "none", "TRUE", " certain ", "")
+_TSV_LINES = st.lists(
+    st.one_of(
+        st.tuples(_TEXT, st.sampled_from(_LABEL_WORDS)).map("\t".join),
+        st.tuples(_TEXT, _TEXT, st.sampled_from(_LABEL_WORDS)).map("\t".join),
+        _TEXT,
+    ),
+    max_size=8,
+)
+
+
+def _assert_exit_contract(rc: int, err: str) -> None:
+    assert rc in (0, 1, 2, 3), err
+    if rc:
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+class TestLoaderFuzz:
+    """Key files, conversations-JSONL lines and the three TSV corpora, as
+    hypothesis writes them, end in exit 0-3 and never raise."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        raw=st.none() | _TEXT | _JSON.map(json.dumps),
+        drop=st.sets(st.integers(0, 99), max_size=30),
+        relabel=st.dictionaries(st.integers(0, 99), st.sampled_from(_LABEL_WORDS) | _JSON, max_size=3),
+    )
+    @example(raw="{}", drop=set(), relabel={})  # no train thread has gold
+    @example(raw='{"a\\nb": "maybe"}', drop=set(), relabel={})  # a line break in a thread id
+    def test_key_file(self, ws, raw, drop, relabel):
+        """raw is the whole key file; without it, the train key with the
+        entries at the drop indices removed and those in relabel changed."""
+        if raw is None:
+            labels = load_key_file(load_config(ws["cfg"]).train_key)
+            ids = sorted(labels)
+            for i, value in relabel.items():
+                if i < len(ids):
+                    labels[ids[i]] = value
+            raw = json.dumps({"subtaskbenglish": {t: v for i, (t, v) in enumerate(sorted(labels.items())) if i not in drop}})
+        with tempfile.TemporaryDirectory() as tmp:
+            key = Path(tmp) / "key.json"
+            key.write_text(raw, encoding="utf-8")
+            argv = ["train", "--config", ws["cfg"], "--phase", "2-2", "--train-key", str(key)]
+            _assert_exit_contract(*_run([*argv, "--model-dir", str(Path(tmp) / "models")]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.sampled_from(["repeat", "replace", "field", "thread_field"]), st.integers(0, 99), _TEXT, _JSON),
+            max_size=3,
+        ),
+        extra=st.lists(_TEXT, max_size=2),
+    )
+    @example(edits=[("repeat", 3, "", None)], extra=[])  # one line given twice
+    def test_conversations_jsonl(self, ws, edits, extra):
+        """The test split's records with fields set to any JSON, then lines
+        repeated or replaced by any JSON, and lines of any text appended. A
+        run that succeeds predicts each thread once."""
+        records = [conversation_to_dict(c) for c in load_split(ws["test_dir"], labels=load_key_file(ws["test_key"]))]
+        for op, i, name, value in edits:
+            if op.endswith("field"):
+                record = records[i % len(records)]
+                (record["thread"] if op == "thread_field" else record)[name] = value
+        lines = [json.dumps(r) for r in records]
+        for op, i, _, value in edits:
+            if op == "repeat":
+                lines.append(lines[i % len(lines)])
+            elif op == "replace":
+                lines[i % len(lines)] = json.dumps(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp) / "convs.jsonl", Path(tmp) / "reports"
+            corpus.write_text("\n".join(lines + extra) + "\n", encoding="utf-8")
+            rc, err = _run(["evaluate", str(corpus), "--config", ws["cfg"], "--out", str(out)])
+            _assert_exit_contract(rc, err)
+            if rc == 0:
+                [ids] = [[p.thread_id for p in load_predictions_jsonl(f)] for f in out.glob("predictions-*.jsonl")]
+                assert len(ids) == len(set(ids)) == len(load_conversations_jsonl(corpus))
+
+    @settings(max_examples=40, deadline=None)
+    @given(corpus=st.sampled_from(["hedge", "deception", "agreement"]), lines=_TSV_LINES, keep=st.integers(0, 40))
+    @example(corpus="hedge", lines=[], keep=0)  # an empty pretrain corpus
+    def test_tsv_corpus(self, ws, corpus, lines, keep):
+        """The first keep lines of the real corpus followed by generated lines."""
+        real = (load_config(ws["cfg"]).train_dir.parent / "corpora" / f"{corpus}.tsv").read_text(encoding="utf-8")
+        flags = {"hedge": ["--phase", "1"], "deception": ["--phase", "2-1", "--mode", "single_lie"],
+                 "agreement": ["--phase", "2-2"]}[corpus]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{corpus}.tsv"
+            path.write_text("\n".join(real.splitlines()[:keep] + lines) + "\n", encoding="utf-8")
+            argv = ["train", "--config", ws["cfg"], f"--{corpus}-corpus", str(path), *flags]
+            _assert_exit_contract(*_run([*argv, "--model-dir", str(Path(tmp) / "models")]))

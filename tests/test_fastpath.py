@@ -14,7 +14,6 @@ from rumorvet.backends import (
     INPUT_TEXT,
     ReferenceBackend,
     TrainingRecipe,
-    labeled_examples,
     load_model,
     predict_rows,
     save_model,
@@ -23,10 +22,9 @@ from rumorvet.agreement import STANCE_CLASSES, build_phase22_training
 from rumorvet.errors import ModelFormatError
 from rumorvet.lie import LIE_CLASSES, build_phase21_training
 from rumorvet.pipeline import TrainingPlan
-from rumorvet.probs import ProbVector, one_hot, smooth_labels
 from rumorvet.synthetic import SyntheticSpec, make_corpus
 
-from ._support import OracleBackend, payload_v1, save_v1
+from ._support import OracleBackend, one_hot, one_hot_examples, payload_v1, save_v1, smooth_labels
 
 _WORDS = ("storm", "Storm", "bridge", "market", "a1", "x", "hoax", "verified", "no", "yes")
 
@@ -64,10 +62,9 @@ def _pair(kind, classes, n_buckets, seed):
 
 
 def _assert_same_predictions(fast, oracle, probes):
-    """predict(), predict_batch() and the rows of predict_array() and
-    predict_rows() all equal the oracle's predict(), bit for bit."""
+    """predict() and the rows of predict_array() and predict_rows() all
+    equal the oracle's predict(), bit for bit."""
     expected = [oracle.predict(x) for x in probes]
-    assert fast.predict_batch(probes) == expected
     assert [fast.predict(x) for x in probes] == expected
     rows = fast.predict_array(probes)
     assert rows.dtype == np.float64 and rows.shape == (len(probes), len(fast.classes))
@@ -81,8 +78,8 @@ def test_fit_and_predict_match_oracle(tmp_path_factory, case):
     kind, classes, n_buckets, seed, runs, probes = case
     fast, oracle = _pair(kind, classes, n_buckets, seed)
     for examples, recipe in runs:
-        fast.fit(labeled_examples(examples, classes), recipe)
-        oracle.fit(labeled_examples(examples, classes), recipe)
+        fast.fit(examples, recipe)
+        oracle.fit(one_hot_examples(examples, classes), recipe)
     out = tmp_path_factory.mktemp("fit")
     save_v1(fast, out / "fast.json")
     save_v1(oracle, out / "oracle.json")
@@ -101,8 +98,8 @@ def test_tiny_bucket_space_collides_across_pair_sides(tmp_path):
         (("x a1 x", ""), "agree"),
     ] * 3
     recipe = TrainingRecipe(epochs=3, batch_size=5, learning_rate=5e-5, label_smoothing=0.3)
-    fast.fit(labeled_examples(examples, fast.classes), recipe)
-    oracle.fit(labeled_examples(examples, oracle.classes), recipe)
+    fast.fit(examples, recipe)
+    oracle.fit(one_hot_examples(examples, oracle.classes), recipe)
 
     def distinct_tokens(x):
         return len(set(x[0].lower().split())) + len(set(x[1].lower().split()))
@@ -121,8 +118,8 @@ def test_batches_past_the_chunk_boundary():
         for i in range(chunk + 41)
     ]
     recipe = TrainingRecipe(epochs=2, batch_size=32, learning_rate=5e-5, label_smoothing=0.3)
-    fast.fit(labeled_examples(examples, fast.classes), recipe)
-    oracle.fit(labeled_examples(examples, oracle.classes), recipe)
+    fast.fit(examples, recipe)
+    oracle.fit(one_hot_examples(examples, oracle.classes), recipe)
     assert payload_v1(fast) == oracle.payload()
     probes = [x for x, _ in examples] * 2 + [("unseen words", "")]
     _assert_same_predictions(fast, oracle, probes)
@@ -132,7 +129,7 @@ def test_oracle_written_model_loads_and_scores(tmp_path):
     oracle = OracleBackend(("yes", "no"), INPUT_TEXT, seed=2)
     examples = [("confirmed verified report", "yes"), ("hoax hoax fabricated", "no"), ("", "yes")]
     examples *= 4
-    oracle.fit(labeled_examples(examples, oracle.classes), TrainingRecipe(4, 3, 5e-5, 0.2))
+    oracle.fit(one_hot_examples(examples, oracle.classes), TrainingRecipe(4, 3, 5e-5, 0.2))
     path = tmp_path / "model.json"
     save_v1(oracle, path)
     loaded = load_model(path)
@@ -146,11 +143,11 @@ def test_continued_training_after_load_matches_oracle(tmp_path):
     first = [("confirmed verified", "yes"), ("hoax story", "no")] * 5
     second = [("new words entirely", "no"), ("confirmed again", "yes"), ("", "no")]
     recipe = TrainingRecipe(epochs=2, batch_size=4, learning_rate=5e-5, label_smoothing=0.1)
-    oracle.fit(labeled_examples(first, oracle.classes), recipe)
+    oracle.fit(one_hot_examples(first, oracle.classes), recipe)
     save_v1(oracle, tmp_path / "m.json")
     fast = load_model(tmp_path / "m.json")
-    fast.fit(labeled_examples(second, fast.classes), recipe)
-    oracle.fit(labeled_examples(second, oracle.classes), recipe)
+    fast.fit(second, recipe)
+    oracle.fit(one_hot_examples(second, oracle.classes), recipe)
     assert payload_v1(fast) == oracle.payload()
     _assert_same_predictions(fast, oracle, ["new confirmed", "hoax words", ""])
 
@@ -160,8 +157,8 @@ def test_touched_buckets_are_saved_even_when_zero():
     fast, oracle = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
     examples = [("same", "yes"), ("same", "no")]
     recipe = TrainingRecipe(epochs=1, batch_size=2, learning_rate=5e-5, label_smoothing=0.0)
-    fast.fit(labeled_examples(examples, fast.classes), recipe)
-    oracle.fit(labeled_examples(examples, oracle.classes), recipe)
+    fast.fit(examples, recipe)
+    oracle.fit(one_hot_examples(examples, oracle.classes), recipe)
     assert payload_v1(fast)["weights"] == oracle.payload()["weights"]
     assert len(payload_v1(fast)["weights"]) == 1
 
@@ -169,7 +166,7 @@ def test_touched_buckets_are_saved_even_when_zero():
 @pytest.mark.parametrize("bad", [{"7": [0.0]}, {"99999": [0.0, 0.0]}])
 def test_malformed_weights_rejected(bad):
     fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
-    fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
+    fast.fit([("a", "yes")], TrainingRecipe(1, 1, 5e-5, 0.0))
     payload = payload_v1(fast)
     payload["weights"] = bad
     with pytest.raises(ModelFormatError):
@@ -196,7 +193,7 @@ def _v2_weights(buckets, rows_bytes):
 )
 def test_malformed_v2_weights_rejected(bad):
     fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
-    fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
+    fast.fit([("a", "yes")], TrainingRecipe(1, 1, 5e-5, 0.0))
     payload = fast.payload()
     payload["weights"] = bad
     with pytest.raises(ModelFormatError):
@@ -211,16 +208,16 @@ def test_format_1_and_2_files_predict_alike(tmp_path_factory, case):
     kind, classes, n_buckets, seed, runs, probes = case
     fast, _ = _pair(kind, classes, n_buckets, seed)
     for examples, recipe in runs:
-        fast.fit(labeled_examples(examples, classes), recipe)
+        fast.fit(examples, recipe)
     out = tmp_path_factory.mktemp("formats")
     save_v1(fast, out / "v1.json")
     from_v1 = load_model(out / "v1.json")
     save_model(from_v1, out / "v2.json")
     from_v2 = load_model(out / "v2.json")
     probes = probes + [x for x, _ in runs[0][0]]
-    expected = [p.values for p in fast.predict_batch(probes)]
-    assert [p.values for p in from_v1.predict_batch(probes)] == expected
-    assert [p.values for p in from_v2.predict_batch(probes)] == expected
+    expected = fast.predict_array(probes).tobytes()
+    assert from_v1.predict_array(probes).tobytes() == expected
+    assert from_v2.predict_array(probes).tobytes() == expected
     save_model(from_v2, out / "again.json")
     assert (out / "again.json").read_bytes() == (out / "v2.json").read_bytes()
     save_model(fast, out / "fast.json")
@@ -230,8 +227,7 @@ def test_format_1_and_2_files_predict_alike(tmp_path_factory, case):
 
 def test_empty_batch():
     fast, _ = _pair(INPUT_TEXT, ("yes", "no"), 1 << 16, 0)
-    fast.fit(labeled_examples([("a", "yes")], fast.classes), TrainingRecipe(1, 1, 5e-5, 0.0))
-    assert fast.predict_batch([]) == []
+    fast.fit([("a", "yes")], TrainingRecipe(1, 1, 5e-5, 0.0))
     assert fast.predict_array([]).shape == (0, 2)
 
 
@@ -255,23 +251,13 @@ def test_published_recipe_scale_matches_oracle(channel):
         assert len(examples) > 3 * recipe.batch_size and len(examples) % recipe.batch_size
     fast, oracle = _pair(kind, classes, 1 << 16, 1)
     for examples, recipe in zip(sets, recipes):
-        fast.fit(labeled_examples(examples, classes), recipe)
-        oracle.fit(labeled_examples(examples, classes), recipe)
+        fast.fit(examples, recipe)
+        oracle.fit(one_hot_examples(examples, classes), recipe)
         assert payload_v1(fast) == oracle.payload()
     _assert_same_predictions(fast, oracle, [x for x, _ in sets[1]])
 
 
 # -- training targets -----------------------------------------------------------
-
-
-@st.composite
-def prob_vectors(draw, k):
-    """Any valid k-class ProbVector: one-hot or a normalised weight vector."""
-    if draw(st.booleans()):
-        return one_hot(draw(st.integers(0, k - 1)), tuple(range(k)))
-    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(any))
-    total = math.fsum(weights)
-    return ProbVector(tuple(w / total for w in weights))
 
 
 class _TargetSpy(ReferenceBackend):
@@ -282,33 +268,38 @@ class _TargetSpy(ReferenceBackend):
         super()._step(*batch)
 
 
+_CLASS_SETS = st.sampled_from([("yes", "no"), ("agree", "disagree", "none")])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_fit_smooths_targets_like_smooth_labels(data):
-    k = data.draw(st.sampled_from([2, 3]))
-    targets = data.draw(st.lists(prob_vectors(k), min_size=1, max_size=9))
+    classes = data.draw(_CLASS_SETS)
+    labels = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=9))
     rate = data.draw(st.floats(0.0, 1.0, exclude_max=True))
     batch = data.draw(st.integers(1, 4))
-    backend = _TargetSpy(("agree", "disagree", "none")[:k])
+    backend = _TargetSpy(classes)
     backend.seen = []
-    backend.fit([(f"x{i}", t) for i, t in enumerate(targets)], TrainingRecipe(1, batch, 5e-5, rate))
-    expected = np.array([smooth_labels(t, rate).values for t in targets])
+    backend.fit([(f"x{i}", label) for i, label in enumerate(labels)], TrainingRecipe(1, batch, 5e-5, rate))
+    expected = np.array([smooth_labels(one_hot(label, classes), rate).values for label in labels])
     assert np.concatenate(backend.seen).tobytes() == expected.tobytes()
 
 
 @given(
-    classes=st.sampled_from([("yes", "no"), ("agree", "disagree", "none")]),
-    labels=st.lists(st.sampled_from(("yes", "no", "agree", "disagree", "none", "maybe", "")), max_size=8),
+    classes=_CLASS_SETS,
+    labels=st.lists(st.sampled_from(("yes", "no", "agree", "disagree", "none", "maybe", "")), min_size=1, max_size=8),
 )
-def test_labeled_examples_match_one_hot(classes, labels):
-    pairs = [(f"x{i}", label) for i, label in enumerate(labels)]
+def test_fit_rejects_labels_like_one_hot(classes, labels):
+    """A label outside classes is one_hot()'s ValueError, raised before any step."""
+    backend = _TargetSpy(classes)
+    backend.seen = []
+    examples = [(f"x{i}", label) for i, label in enumerate(labels)]
     try:
-        expected = [(x, one_hot(label, classes)) for x, label in pairs]
+        [one_hot(label, classes) for label in labels]
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            labeled_examples(pairs, classes)
-        assert str(raised.value) == str(exc)
+            backend.fit(examples, TrainingRecipe(1, 2, 5e-5, 0.1))
+        assert str(raised.value) == str(exc) and backend.seen == []
     else:
-        out = labeled_examples(pairs, classes)
-        assert out == expected
-        assert len({id(target) for _, target in out}) <= len(classes)
+        backend.fit(examples, TrainingRecipe(1, 2, 5e-5, 0.1))
+        assert len(backend.seen) == math.ceil(len(labels) / 2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rumorvet.backends import INPUT_TEXT, ReferenceBackend, TrainingRecipe, labeled_examples
+from rumorvet.backends import INPUT_TEXT, ReferenceBackend, TrainingRecipe
 from rumorvet.certainty import CERTAIN, UNCERTAIN, ChannelAssignment
 from rumorvet.errors import CorpusFormatError
 from rumorvet.lie import (
@@ -15,7 +15,7 @@ from rumorvet.lie import (
 from rumorvet.predictions import CHANNEL_LIE
 from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector
 
-from ._support import make_conv
+from ._support import TableBackend, make_conv
 
 DECEPTION = [
     ("honest open direct account", "truthful"),
@@ -30,7 +30,7 @@ RECIPE = TrainingRecipe(epochs=15, batch_size=4, learning_rate=5e-5, label_smoot
 def _lie_backend(seed=0):
     backend = ReferenceBackend(LIE_CLASSES, INPUT_TEXT, seed=seed)
     pretrain, _ = build_phase21_training(DECEPTION, [], phase1=None)
-    backend.fit(labeled_examples(pretrain, LIE_CLASSES), RECIPE)
+    backend.fit(pretrain, RECIPE)
     return backend
 
 
@@ -46,11 +46,8 @@ class TestClassifyLie:
         assert honest.assignment is None
 
     def test_full_entropy_abstains(self):
-        class Uniform:
-            def predict(self, text):
-                return ProbVector((0.5, 0.5))
-
-        pred = classify_lie(make_conv().thread, Uniform(), 1e-3)
+        uniform = TableBackend(lambda text: (0.5, 0.5))
+        pred = classify_lie(make_conv().thread, uniform, 1e-3)
         assert pred.label == UNVERIFIED
         assert pred.entropy == 1.0
 

@@ -17,33 +17,25 @@ from rumorvet.pipeline import (
     run_batch,
 )
 from rumorvet.predictions import CHANNEL_AGREEMENT, CHANNEL_LIE
-from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector
+from rumorvet.probs import FALSE, TRUE, UNVERIFIED
 
-from ._support import make_conv
+from ._support import TableBackend, make_conv
 
 VERACITY = (TRUE, FALSE, UNVERIFIED)
 
 
-class StubBackend:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = []
-
-    def predict(self, x):
-        self.calls.append(x)
-        return ProbVector(self.fn(x))
-
-
-class ExplodingBackend:
-    def predict(self, x):
+def _exploding():
+    def explode(x):
         raise AssertionError("this backend must never be consulted")
+
+    return TableBackend(explode)
 
 
 def _stubs():
     """phase1 keys on the word 'sure'; both lie backends say true; agreement says true."""
-    phase1 = StubBackend(lambda t: (0.9, 0.1) if "sure" in t else (0.1, 0.9))
-    lie = StubBackend(lambda t: (0.8, 0.2))
-    agreement = StubBackend(lambda pair: (0.7, 0.1, 0.2))
+    phase1 = TableBackend(lambda t: (0.9, 0.1) if "sure" in t else (0.1, 0.9))
+    lie = TableBackend(lambda t: (0.8, 0.2))
+    agreement = TableBackend(lambda pair: (0.7, 0.1, 0.2))
     return {"phase1": phase1, "lie": lie, "lie_unrouted": lie, "agreement": agreement}
 
 
@@ -113,13 +105,13 @@ class TestRouting:
         assert pred.assignment.label == CERTAIN
 
     def test_single_lie_skips_phase1(self):
-        backends = {"phase1": ExplodingBackend(), "lie_unrouted": StubBackend(lambda t: (0.8, 0.2))}
+        backends = {"phase1": _exploding(), "lie_unrouted": TableBackend(lambda t: (0.8, 0.2))}
         pred = classify(UNCERTAIN_CONV, PipelineConfig(mode=MODE_SINGLE_LIE), backends)
         assert pred.channel == CHANNEL_LIE
         assert pred.assignment is None
 
     def test_single_agreement_skips_phase1(self):
-        backends = {"phase1": ExplodingBackend(), "agreement": StubBackend(lambda p: (0.7, 0.1, 0.2))}
+        backends = {"phase1": _exploding(), "agreement": TableBackend(lambda p: (0.7, 0.1, 0.2))}
         pred = classify(CERTAIN_CONV, PipelineConfig(mode=MODE_SINGLE_AGREEMENT), backends)
         assert pred.channel == CHANNEL_AGREEMENT
         assert pred.assignment is None
@@ -138,7 +130,7 @@ class TestRouting:
         assert missing in str(exc.value)
 
     def test_missing_routed_channel_backend(self):
-        backends = {"phase1": StubBackend(lambda t: (0.9, 0.1))}
+        backends = {"phase1": TableBackend(lambda t: (0.9, 0.1))}
         with pytest.raises(UntrainedBackend) as exc:
             classify(CERTAIN_CONV, PipelineConfig(mode=MODE_DOUBLE), backends)
         assert "lie" in str(exc.value)

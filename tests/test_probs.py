@@ -1,4 +1,5 @@
-"""Probability vectors, entropy, smoothing, and the decision rule."""
+"""Probability vectors, entropy, the decision rule, and the one-hot and
+smoothing helpers the per-example oracle trains on."""
 
 import math
 
@@ -13,12 +14,10 @@ from rumorvet.probs import (
     UNVERIFIED,
     ProbVector,
     decide,
-    one_hot,
     self_entropy,
-    smooth_labels,
 )
 
-from ._support import entropy_oracle, prob_vectors
+from ._support import entropy_oracle, one_hot, prob_vectors, smooth_labels
 
 
 class TestProbVector:

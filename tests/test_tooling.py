@@ -6,7 +6,7 @@ from pathlib import Path
 import rumorvet.cli  # noqa: F401  (the tracer patches every loaded rumorvet module)
 from rumorvet import evaluation, pipeline
 from rumorvet.agreement import STANCE_CLASSES
-from rumorvet.backends import INPUT_PAIR, ReferenceBackend, TrainingRecipe, labeled_examples
+from rumorvet.backends import INPUT_PAIR, ReferenceBackend, TrainingRecipe
 from rumorvet.pipeline import MODE_SINGLE_AGREEMENT, score_grid
 
 from ._support import make_conv
@@ -43,7 +43,7 @@ def test_traced_fit_counts_its_examples(monkeypatch):
     """The tracer counts fit()'s second argument; a signature change that
     moved the examples would zero the per-layer training metrics."""
     tracer = _tracer_class(monkeypatch)()
-    examples = labeled_examples([("storm bridge", "yes"), ("hoax", "no"), ("storm", "yes")], ("yes", "no"))
+    examples = [("storm bridge", "yes"), ("hoax", "no"), ("storm", "yes")]
     tracer.install()
     try:
         ReferenceBackend(("yes", "no")).fit(examples, TrainingRecipe(2, 2, 5e-5, 0.3))
@@ -81,7 +81,7 @@ def test_traced_score_grid_times_aggregation(monkeypatch):
     backend = ReferenceBackend(STANCE_CLASSES, input_kind=INPUT_PAIR)
     pairs = [("so true", "agreement"), ("fake news", "disagreement"), ("ok", "none")]
     pairs = [(("claim", reply), stance) for reply, stance in pairs]
-    backend.fit(labeled_examples(pairs, STANCE_CLASSES), TrainingRecipe(2, 2, 5e-5, 0.3))
+    backend.fit(pairs, TrainingRecipe(2, 2, 5e-5, 0.3))
     conv = make_conv("t1", "claim", [("so true", 60, True), ("fake news", 120, True), ("aside", 180, False)])
     tracer.install()
     try:
