@@ -10,8 +10,9 @@ both single-channel ablations, with the inverse routing worst.
 import argparse
 
 from rumorvet.backends import ReferenceBackend
+from rumorvet.config import RunConfig
 from rumorvet.evaluation import build_report, render_reports
-from rumorvet.pipeline import MODES, PipelineConfig, TrainingPlan, backend_names, score_grid, train_backends
+from rumorvet.pipeline import BACKEND_SPECS, MODES, PipelineConfig, backend_names, score_grid, train_backends
 from rumorvet.synthetic import SyntheticSpec, make_corpus
 
 
@@ -39,16 +40,14 @@ def main() -> int:
     def factory(classes, input_kind, seed):
         return ReferenceBackend(classes, input_kind=input_kind, seed=seed)
 
-    backends = train_backends(
-        backend_names(MODES),
-        list(corpus.train),
-        list(corpus.hedge),
-        list(corpus.deception),
-        list(corpus.agreement),
-        factory,
-        plan=TrainingPlan(phase1_per_class=args.phase1_per_class),
-        seed=args.seed,
-    )
+    corpora = {"hedge_corpus": corpus.hedge, "deception_corpus": corpus.deception, "agreement_corpus": corpus.agreement}
+
+    def corpus_for(name):
+        return list(corpora[BACKEND_SPECS[name].pretrain_corpus])
+
+    cfg = RunConfig(seed=args.seed, phase1_per_class=args.phase1_per_class)
+    trained = train_backends(backend_names(MODES), list(corpus.train), corpus_for, factory, cfg)
+    backends = {name: backend for name, backend, _ in trained}
     rows = score_grid(list(corpus.test), [(mode, None) for mode in MODES], backends)
     reports = [
         build_report(

@@ -40,7 +40,6 @@ from .corpus import (
     Conversation,
     Post,
     Reply,
-    ThreadReplyPair,
     clean_text,
     filter_window,
     load_conversation,
@@ -79,7 +78,6 @@ from .pipeline import (
     MODE_SINGLE_LIE,
     MODES,
     PipelineConfig,
-    TrainingPlan,
     classify,
     run_batch,
 )

@@ -55,7 +55,7 @@ _NO_EVIDENCE = ProbVector((0.5, 0.5))
 def score_pairs(conv: Conversation, backend: ClassifierBackend) -> list[ProbVector]:
     """One stance softmax per primary reply, in stable reply order, from one
     batched call."""
-    return predict_all(backend, [(p.thread_text, p.reply_text) for p in primary_pairs(conv)])
+    return predict_all(backend, primary_pairs(conv))
 
 
 def aggregate(softmaxes: Stances) -> ProbVector:
@@ -138,8 +138,7 @@ def build_phase22_training(
         stance = gold_to_stance.get(conv.gold_label)
         if stance is None:
             raise ValueError(f"no stance mapping for gold label {conv.gold_label!r}")
-        for pair in primary_pairs(conv):
-            finetune.append(((pair.thread_text, pair.reply_text), stance))
+        finetune.extend((pair, stance) for pair in primary_pairs(conv))
     return pretrain, finetune
 
 

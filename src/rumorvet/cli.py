@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .agreement import load_agreement_corpus
 from .backends import ReferenceBackend, load_model, save_model
-from .certainty import assign_all, load_hedge_corpus, summarize_assignments
+from .certainty import load_hedge_corpus, summarize_assignments
 from .config import BACKEND_TRANSFORMER, BACKENDS, RunConfig, load_config
 from .corpus import (
     Conversation,
@@ -39,7 +39,7 @@ from .pipeline import (
     backend_name,
     backend_names,
     score_grid,
-    train_backend,
+    train_backends,
 )
 from .predictions import save_predictions_jsonl
 
@@ -120,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path, help="conversation directory or ingested JSONL")
     p.add_argument("--out", type=Path, default=Path("predictions.jsonl"))
     p.add_argument("--window-days", default=None, help="reply window in days")
-    p.add_argument("--key", type=Path, default=None, help="gold-label key file")
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")
     _add_common(p)
@@ -228,13 +227,15 @@ def _load_conversations(
             convs = [dataclasses.replace(c, gold_label=labels.get(c.thread.id, c.gold_label)) for c in convs]
     if not convs:
         raise DataError(f"no conversations found in {source}")
+    if labels is not None and labels.keys().isdisjoint(c.thread.id for c in convs):
+        raise DataError(f"labels none of the {len(convs)} threads in {source}", path=key)
     repeated = [tid for tid, n in Counter(c.thread.id for c in convs).items() if n > 1]
     if repeated:
         raise DataError(f"thread id {repeated[0]!r} appears more than once", path=source)
     return convs
 
 
-def _load_checksummed(source: Path, key: Optional[Path]) -> tuple[list[Conversation], str]:
+def _load_checksummed(source: Path, key: Optional[Path] = None) -> tuple[list[Conversation], str]:
     """The corpus and its manifest checksum. A directory's files are hashed
     from the bytes the loader parsed, and the per-file map dies here."""
     digests: dict[str, str] = {}
@@ -281,31 +282,22 @@ def cmd_train(args) -> int:
         names = backend_names([cfg.mode])
     else:
         names = [backend_name(cfg.mode, _PHASE_SLOTS[args.phase])]
-    routing = None  # the train split as phase1 routes it: trained just now, or from disk
-    for name in names:
+
+    def corpus_for(name: str):
+        key = BACKEND_SPECS[name].pretrain_corpus
+        return _CORPUS_READERS[key](_require_file(cfg, key))
+
+    factory = functools.partial(_make_backend, cfg)
+    load_phase1 = functools.partial(_load_backend, cfg, "phase1")
+    for name, backend, routing in train_backends(names, train_convs, corpus_for, factory, cfg, load_phase1):
         corpus_key = BACKEND_SPECS[name].pretrain_corpus
-        corpus = _CORPUS_READERS[corpus_key](_require_file(cfg, corpus_key))
         inputs = {corpus_key: getattr(cfg, corpus_key)}
         if name == "lie":
             inputs["phase1_model"] = cfg.model_path("phase1")
-            if routing is None:
-                routing = assign_all(_load_backend(cfg, "phase1"), train_convs)
-        backend = train_backend(
-            name,
-            train_convs,
-            corpus,
-            functools.partial(_make_backend, cfg),
-            cfg.training_plan(),
-            cfg.seed,
-            routing,
-        )
         out = cfg.model_path(name)
         with _output_dir(out.parent):
             save_model(backend, out)
-            note = ""
-            if name == "phase1":
-                routing = assign_all(backend, train_convs)
-                note = f" (train split routed {summarize_assignments(routing)})"
+            note = f" (train split routed {summarize_assignments(routing)})" if name == "phase1" else ""
             print(f"{name} -> {out}{note}")
             manifest = build_manifest(
                 command=f"train:{name}",
@@ -345,7 +337,7 @@ def cmd_classify(args) -> int:
     cfg, windows = _resolve_windows(args, _resolve_config(args))
     if len(windows) > 1:
         raise UsageError(f"classify takes one --window-days value, got {args.window_days!r}")
-    convs, corpus_checksum = _load_checksummed(args.input, args.key)
+    convs, corpus_checksum = _load_checksummed(args.input)
     backends = _load_backends(cfg, [cfg.mode])
     [row] = score_grid(convs, [(cfg.mode, windows[0])], backends, cfg.entropy_epsilon)
     preds = row.predictions

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 from .backends import TrainingRecipe
 from .errors import ConfigError
-from .pipeline import BACKEND_NAMES, MODES, PipelineConfig, TrainingPlan, backend_name
+from .pipeline import BACKEND_NAMES, MODES, PipelineConfig, backend_name
 
 BACKEND_REFERENCE = "reference"
 BACKEND_TRANSFORMER = "transformer"
@@ -103,10 +103,6 @@ class RunConfig:
             learning_rate=getattr(self, f"{stage}_learning_rate"),
             label_smoothing=getattr(self, f"{stage}_label_smoothing"),
         )
-
-    def training_plan(self) -> TrainingPlan:
-        recipes = {stage: self.recipe(stage) for stage in _STAGES}
-        return TrainingPlan(**recipes, phase1_per_class=self.phase1_per_class)
 
     def model_path(self, name: str) -> Path:
         """Where the named backend (see pipeline.MODE_BACKENDS) lives."""

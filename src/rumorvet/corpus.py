@@ -68,14 +68,6 @@ class Conversation:
         return tuple(r for r in self.replies if r.is_primary)
 
 
-@dataclass(frozen=True)
-class ThreadReplyPair:
-    """A (thread text, primary-reply text) pair for stance scoring."""
-
-    thread_text: str
-    reply_text: str
-
-
 def clean_text(raw: str) -> str:
     """Drop hashtag tokens and web addresses, collapse whitespace.
 
@@ -402,17 +394,14 @@ def load_key_file(path) -> dict[str, str]:
     return labels
 
 
-def primary_pairs(conv: Conversation) -> list[ThreadReplyPair]:
-    """One cleaned (thread, reply) pair per primary reply, in reply order.
+def primary_pairs(conv: Conversation) -> list[tuple[str, str]]:
+    """One cleaned (thread text, reply text) pair per primary reply, in
+    reply order: the input a pair backend takes.
 
     Non-primary replies produce nothing; a conversation without primary
     replies yields an empty list.
     """
-    return [
-        ThreadReplyPair(thread_text=conv.thread.text_clean, reply_text=r.post.text_clean)
-        for r in conv.replies
-        if r.is_primary
-    ]
+    return [(conv.thread.text_clean, r.post.text_clean) for r in conv.replies if r.is_primary]
 
 
 def filter_window(conv: Conversation, window_days: int) -> Conversation:

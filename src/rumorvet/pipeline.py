@@ -19,17 +19,10 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .agreement import STANCE_CLASSES, LabeledPair, agreement_prediction, build_phase22_training
-from .backends import (
-    INPUT_PAIR,
-    INPUT_TEXT,
-    ClassifierBackend,
-    TrainingRecipe,
-    predict_all,
-    predict_rows,
-)
+from .agreement import STANCE_CLASSES, agreement_prediction, build_phase22_training
+from .backends import INPUT_PAIR, INPUT_TEXT, ClassifierBackend, predict_all, predict_rows
 from .certainty import (
     CERTAIN,
     CERTAINTY_CLASSES,
@@ -41,9 +34,12 @@ from .certainty import (
 )
 from .corpus import SECONDS_PER_DAY, Conversation, primary_pairs
 from .errors import ConfigError, UntrainedBackend
-from .lie import LIE_CLASSES, LabeledText, build_phase21_training, lie_prediction
+from .lie import LIE_CLASSES, build_phase21_training, lie_prediction
 from .predictions import CHANNEL_AGREEMENT, CHANNEL_LIE, VeracityPrediction
 from .probs import DEFAULT_ENTROPY_EPSILON
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 MODE_DOUBLE = "double"
 MODE_SINGLE_LIE = "single_lie"
@@ -64,7 +60,7 @@ _ROUTE = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Inference-time knobs; training recipes live in TrainingPlan."""
+    """Inference-time knobs; training recipes live in RunConfig."""
 
     mode: str = MODE_DOUBLE
     entropy_epsilon: float = DEFAULT_ENTROPY_EPSILON
@@ -113,20 +109,23 @@ MODE_BACKENDS = {
 
 class BackendSpec(NamedTuple):
     """What a named backend is: the classes it scores, its input kind, the
-    config key of its pretrain corpus and the offset of its training seed."""
+    config key of its pretrain corpus, the offset of its training seed and
+    the stage whose RunConfig recipes (<stage>_pretrain, <stage>_finetune)
+    train it."""
 
     classes: tuple[str, ...]
     input_kind: str
     pretrain_corpus: str
     seed_offset: int
+    stage: str
 
 
 # Every backend name, in training order: the routed lie backend needs phase1.
 BACKEND_SPECS = {
-    "phase1": BackendSpec(CERTAINTY_CLASSES, INPUT_TEXT, "hedge_corpus", 0),
-    "lie": BackendSpec(LIE_CLASSES, INPUT_TEXT, "deception_corpus", 1),
-    "lie_unrouted": BackendSpec(LIE_CLASSES, INPUT_TEXT, "deception_corpus", 1),
-    "agreement": BackendSpec(STANCE_CLASSES, INPUT_PAIR, "agreement_corpus", 2),
+    "phase1": BackendSpec(CERTAINTY_CLASSES, INPUT_TEXT, "hedge_corpus", 0, "phase1"),
+    "lie": BackendSpec(LIE_CLASSES, INPUT_TEXT, "deception_corpus", 1, "lie"),
+    "lie_unrouted": BackendSpec(LIE_CLASSES, INPUT_TEXT, "deception_corpus", 1, "lie"),
+    "agreement": BackendSpec(STANCE_CLASSES, INPUT_PAIR, "agreement_corpus", 2, "agreement"),
 }
 BACKEND_NAMES = tuple(BACKEND_SPECS)
 
@@ -269,7 +268,7 @@ def score_grid(
         name: score(name, lambda i: [convs[i].thread.text_clean], predict_all)
         for name in ("lie", "lie_unrouted")
     }
-    stances = score("agreement", lambda i: [(p.thread_text, p.reply_text) for p, _ in pairs[i]])
+    stances = score("agreement", lambda i: [p for p, _ in pairs[i]])
 
     for (mode, days), limit, route in zip(rows, limits, routes):
         names = _mode_backends(mode)
@@ -285,26 +284,12 @@ def score_grid(
         yield GridRow(mode, days, preds, counts)
 
 
-@dataclass(frozen=True)
-class TrainingPlan:
-    """Recipes and corpora knobs for all training stages of one run."""
-
-    phase1_pretrain: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.2)
-    phase1_finetune: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.2)
-    lie_pretrain: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.3)
-    lie_finetune: TrainingRecipe = TrainingRecipe(1, 32, 5e-5, 0.3)
-    agreement_pretrain: TrainingRecipe = TrainingRecipe(5, 32, 5e-5, 0.3)
-    agreement_finetune: TrainingRecipe = TrainingRecipe(1, 32, 5e-5, 0.3)
-    phase1_per_class: int = 21
-
-
 def train_backend(
     name: str,
     train_split: Sequence[Conversation],
     corpus: Sequence,
     backend_factory,
-    plan: TrainingPlan,
-    seed: int,
+    cfg: RunConfig,
     routing: Optional[Mapping[str, ChannelAssignment]] = None,
 ) -> ClassifierBackend:
     """Train one named backend: pretrain on its external corpus, then
@@ -313,12 +298,13 @@ def train_backend(
     corpus is the name's pretrain corpus: hedge sentences for phase1,
     deception texts for lie and lie_unrouted, agreement pairs for
     agreement. backend_factory(classes, input_kind, seed) must return a
-    fresh untrained backend; classes, input kind and the offset added to
-    seed come from BACKEND_SPECS. phase1 self-labels the train
-    split and fine-tunes on a balanced resample. lie fine-tunes on the
-    binary-gold threads that routing, the trained phase1 backend's
-    assign_all() of train_split, sends to it, and lie_unrouted (the
-    single-channel retrain) on every binary-gold thread. agreement
+    fresh untrained backend; classes, input kind, the offset added to
+    cfg.seed and the stage whose cfg recipes train it come from
+    BACKEND_SPECS. phase1 self-labels the train split and fine-tunes on a
+    balanced resample of cfg.phase1_per_class threads per class. lie
+    fine-tunes on the binary-gold threads that routing, the trained phase1
+    backend's assign_all() of train_split, sends to it, and lie_unrouted
+    (the single-channel retrain) on every binary-gold thread. agreement
     fine-tunes on every primary pair, which is already unrouted, so every
     mode shares it.
     """
@@ -326,17 +312,15 @@ def train_backend(
         raise ConfigError(f"backend name must be one of {BACKEND_NAMES}, got {name!r}")
     if name == "lie" and routing is None:
         raise UntrainedBackend("the routed lie backend needs the phase1 routing of the train split")
-    classes, input_kind, _, seed_offset = BACKEND_SPECS[name]
-    backend = backend_factory(classes, input_kind, seed + seed_offset)
+    classes, input_kind, _, seed_offset, stage = BACKEND_SPECS[name]
+    backend = backend_factory(classes, input_kind, cfg.seed + seed_offset)
+    recipes = (cfg.recipe(f"{stage}_pretrain"), cfg.recipe(f"{stage}_finetune"))
     if name == "phase1":
-        recipes = (plan.phase1_pretrain, plan.phase1_finetune)
-        return train_phase1(backend, corpus, train_split, *recipes, plan.phase1_per_class, seed)
+        return train_phase1(backend, corpus, train_split, *recipes, cfg.phase1_per_class, cfg.seed)
     if name == "agreement":
         pretrain, finetune = build_phase22_training(corpus, train_split)
-        recipes = (plan.agreement_pretrain, plan.agreement_finetune)
     else:
         pretrain, finetune = build_phase21_training(corpus, train_split, routing if name == "lie" else None)
-        recipes = (plan.lie_pretrain, plan.lie_finetune)
     backend.fit(pretrain, recipes[0])
     if finetune:
         backend.fit(finetune, recipes[1])
@@ -346,26 +330,27 @@ def train_backend(
 def train_backends(
     names: Sequence[str],
     train_split: Sequence[Conversation],
-    hedge_corpus: Sequence[LabeledText],
-    deception_corpus: Sequence[LabeledText],
-    agreement_corpus: Sequence[LabeledPair],
+    corpus_for: Callable[[str], Sequence],
     backend_factory,
-    plan: Optional[TrainingPlan] = None,
-    seed: int = 0,
-) -> dict[str, ClassifierBackend]:
-    """train_backend() once per distinct name, keyed by name. A grid
-    trains backend_names(MODES): four backends serve all four modes."""
-    plan = plan or TrainingPlan()
-    corpora = {
-        "hedge_corpus": hedge_corpus,
-        "deception_corpus": deception_corpus,
-        "agreement_corpus": agreement_corpus,
-    }
-    trained: dict[str, ClassifierBackend] = {}
+    cfg: RunConfig,
+    load_phase1: Optional[Callable[[], ClassifierBackend]] = None,
+) -> Iterator[tuple[str, ClassifierBackend, Optional[dict[str, ChannelAssignment]]]]:
+    """train_backend() once per distinct name, in BACKEND_NAMES order,
+    yielding (name, backend, routing) as each one is trained. A grid
+    trains backend_names(MODES): four backends serve all four modes.
+
+    corpus_for(name) reads the name's pretrain corpus and is called first
+    for each name. routing is the train split as phase1 routes it (None
+    until known): one assign_all() of the phase1 trained here, or else,
+    when the routed lie backend needs it, of load_phase1(), which is
+    called only after the lie corpus has been read.
+    """
+    routing = None
     for name in sorted(set(names), key=BACKEND_NAMES.index):
-        corpus = corpora[BACKEND_SPECS[name].pretrain_corpus]
-        routing = None
-        if name == "lie" and "phase1" in trained:
-            routing = assign_all(trained["phase1"], train_split)
-        trained[name] = train_backend(name, train_split, corpus, backend_factory, plan, seed, routing)
-    return trained
+        corpus = corpus_for(name)
+        if name == "lie" and routing is None and load_phase1 is not None:
+            routing = assign_all(load_phase1(), train_split)
+        backend = train_backend(name, train_split, corpus, backend_factory, cfg, routing)
+        if name == "phase1":
+            routing = assign_all(backend, train_split)
+        yield name, backend, routing

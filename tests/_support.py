@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 
 from rumorvet.backends import ClassifierBackend
 from rumorvet.certainty import CERTAINTY_CLASSES, ChannelAssignment
+from rumorvet.config import RunConfig
 from rumorvet.corpus import Conversation, Post, Reply, clean_text, filter_window
 from rumorvet.errors import UnparseableTimestamp, UntrainedBackend
-from rumorvet.pipeline import MODE_BACKENDS
+from rumorvet.pipeline import BACKEND_SPECS, MODE_BACKENDS, train_backends
 from rumorvet.predictions import (
     CHANNEL_AGREEMENT,
     CHANNEL_LIE,
@@ -348,6 +349,20 @@ def classify_oracle(conv: Conversation, config, backends) -> VeracityPrediction:
         self_entropy(evidence),
         len(stances),
     )
+
+
+def train_synthetic(names, corpus, factory) -> dict[str, ClassifierBackend]:
+    """pipeline.train_backends() at the default RunConfig on a
+    SyntheticCorpus: its train split, and its hedge, deception and
+    agreement pairs as the pretrain corpora. The trained backends, keyed by
+    name."""
+    corpora = {"hedge_corpus": corpus.hedge, "deception_corpus": corpus.deception, "agreement_corpus": corpus.agreement}
+
+    def corpus_for(name):
+        return list(corpora[BACKEND_SPECS[name].pretrain_corpus])
+
+    trained = train_backends(names, list(corpus.train), corpus_for, factory, RunConfig())
+    return {name: backend for name, backend, _ in trained}
 
 
 def spread_reply_ages(conv: Conversation, k: int) -> Conversation:

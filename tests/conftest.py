@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from rumorvet.backends import ReferenceBackend
-from rumorvet.pipeline import MODE_BACKENDS, MODES, TrainingPlan, backend_names, train_backends
+from rumorvet.pipeline import MODE_BACKENDS, MODES, backend_names
 from rumorvet.synthetic import SyntheticSpec, make_corpus
+
+from ._support import train_synthetic
 
 
 def reference_factory(classes, input_kind, seed):
@@ -26,16 +28,7 @@ def syn_corpus():
 @pytest.fixture(scope="session")
 def named_backends(syn_corpus):
     """Every grid backend, keyed by name, each trained once (read-only)."""
-    return train_backends(
-        backend_names(MODES),
-        list(syn_corpus.train),
-        list(syn_corpus.hedge),
-        list(syn_corpus.deception),
-        list(syn_corpus.agreement),
-        reference_factory,
-        plan=TrainingPlan(),
-        seed=0,
-    )
+    return train_synthetic(backend_names(MODES), syn_corpus, reference_factory)
 
 
 @pytest.fixture(scope="session")

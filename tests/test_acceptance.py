@@ -30,13 +30,12 @@ from rumorvet.pipeline import (
     classify,
     run_batch,
     score_grid,
-    train_backends,
 )
 from rumorvet.predictions import CHANNEL_AGREEMENT, CHANNEL_LIE
 from rumorvet.probs import ProbVector, self_entropy
 from rumorvet.synthetic import SyntheticSpec, make_corpus, materialize
 
-from ._support import TableBackend, aggregate_oracle, make_conv
+from ._support import TableBackend, aggregate_oracle, make_conv, train_synthetic
 
 ENV_VARS = {
     "train_dir": "RUMORVET_SEMEVAL_TRAIN_DIR",
@@ -258,15 +257,7 @@ def test_criterion_7_synthetic_benchmark():
     golds = corpus.gold("test")
     scores = {}
     for mode in (MODE_DOUBLE, MODE_SINGLE_LIE, MODE_SINGLE_AGREEMENT):
-        backends = train_backends(
-            backend_names([mode]),
-            list(corpus.train),
-            list(corpus.hedge),
-            list(corpus.deception),
-            list(corpus.agreement),
-            _reference_factory,
-            seed=0,
-        )
+        backends = train_synthetic(backend_names([mode]), corpus, _reference_factory)
         config = PipelineConfig(mode=mode)
         preds = run_batch(list(corpus.test), config, backends)
         scores[mode] = build_report(config, preds, golds).macro_f1

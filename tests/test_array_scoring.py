@@ -64,9 +64,8 @@ def test_windowed_mask_equals_list_filter(convs, days):
     rows = [(MODE_SINGLE_AGREEMENT, None), (MODE_SINGLE_AGREEMENT, days)]
     full, windowed = score_grid(convs, rows, {"agreement": backend}, keep_all=True)
     for conv, whole, masked in zip(convs, full.predictions, windowed.predictions):
-        pairs = primary_pairs(conv)
         ages = [(r.post.created_at - conv.thread.created_at).total_seconds() for r in conv.primary_replies()]
-        scores = [backend.predict((p.thread_text, p.reply_text)) for p in pairs]
+        scores = [backend.predict(pair) for pair in primary_pairs(conv)]
         kept = [s for s, age in zip(scores, ages) if age <= days * SECONDS_PER_DAY]
         assert whole == agreement_prediction(conv.thread.id, scores, 1e-3)
         assert masked == agreement_prediction(conv.thread.id, kept, 1e-3)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from rumorvet.agreement import load_agreement_corpus
 from rumorvet.backends import ReferenceBackend, save_model
 from rumorvet.certainty import assign_all, load_hedge_corpus
-from rumorvet import cli, pipeline
+from rumorvet import pipeline
 from rumorvet.cli import main
 from rumorvet.config import _STAGES, load_config
 from rumorvet.corpus import conversation_to_dict, load_conversations_jsonl, load_key_file, load_split
@@ -105,9 +105,7 @@ class TestTrain(object):
         trained = {}
         for name in BACKEND_NAMES:
             routing = assign_all(trained["phase1"], train) if name == "lie" else None
-            trained[name] = train_backend(
-                name, train, corpora[name], factory, cfg.training_plan(), cfg.seed, routing
-            )
+            trained[name] = train_backend(name, train, corpora[name], factory, cfg, routing)
             save_model(trained[name], tmp_path / f"{name}.json")
             assert (tmp_path / f"{name}.json").read_bytes() == (ws["models"] / f"{name}.json").read_bytes()
 
@@ -117,13 +115,13 @@ class TestTrain(object):
         routers = []
 
         def counting_train(name, *args):
-            backend = pipeline.train_backend(name, *args)
+            backend = train_backend(name, *args)
             if name == "phase1":
                 backend = CountingBackend(backend)
                 routers.append(backend)
             return backend
 
-        monkeypatch.setattr(cli, "train_backend", counting_train)
+        monkeypatch.setattr(pipeline, "train_backend", counting_train)
         models = tmp_path / "models"
         argv = ["train", "--config", ws["cfg"], "--phase", "all", "--model-dir", str(models)]
         assert main(argv) == 0
@@ -490,17 +488,42 @@ class TestExitCodes:
     def test_malformed_key_file_is_data_error(self, ws, tmp_path, capsys):
         key = tmp_path / "key.json"
         key.write_text("{not json", encoding="utf-8")
-        rc = main(["classify", ws["test_dir"], "--config", ws["cfg"], "--key", str(key)])
-        assert rc == 2
+        argv = ["evaluate", ws["test_dir"], "--config", ws["cfg"], "--key", str(key)]
+        assert main([*argv, "--out", str(tmp_path / "reports")]) == 2
         err = capsys.readouterr().err
         assert "key.json" in err and "Traceback" not in err
 
     def test_missing_key_file_is_data_error(self, ws, tmp_path, capsys):
-        rc = main(
-            ["classify", ws["test_dir"], "--config", ws["cfg"], "--key", str(tmp_path / "absent.json")]
-        )
-        assert rc == 2
+        argv = ["evaluate", ws["test_dir"], "--config", ws["cfg"], "--key", str(tmp_path / "absent.json")]
+        assert main([*argv, "--out", str(tmp_path / "reports")]) == 2
         assert "absent.json" in capsys.readouterr().err
+
+    def test_key_under_unknown_task_is_data_error(self, ws, tmp_path, capsys):
+        """Labels nested under a task key the loader does not know load as an
+        empty map, which labels none of the input's threads."""
+        labels = load_key_file(ws["test_key"])
+        key = tmp_path / "odd-key.json"
+        key.write_text(json.dumps({"subtaskaenglish": labels}), encoding="utf-8")
+        argv = ["evaluate", ws["test_dir"], "--config", ws["cfg"], "--key", str(key)]
+        assert main([*argv, "--out", str(tmp_path / "reports")]) == 2
+        err = capsys.readouterr().err
+        assert "odd-key.json" in err and "labels none" in err
+        assert not (tmp_path / "reports").exists()
+
+    def test_ingest_key_naming_no_thread_is_data_error(self, ws, tmp_path, capsys):
+        key = tmp_path / "other-key.json"
+        key.write_text(json.dumps({"subtaskbenglish": {"not-a-thread": "true"}}), encoding="utf-8")
+        out = tmp_path / "convs.jsonl"
+        assert main(["ingest", ws["test_dir"], str(out), "--key", str(key)]) == 2
+        assert "other-key.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_classify_takes_no_key(self, ws, tmp_path, capsys):
+        """Predictions do not read gold labels; evaluate is the command that does."""
+        argv = ["classify", ws["test_dir"], "--config", ws["cfg"], "--key", ws["test_key"]]
+        assert main([*argv, "--out", str(tmp_path / "p.jsonl")]) == 1
+        assert "--key" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_malformed_jsonl_record_is_data_error(self, ws, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -46,10 +46,11 @@ class TestRunConfigDefaults:
         with pytest.raises(ConfigError):
             RunConfig(reply_window_days=0)
 
-    def test_training_plan_mirrors_recipes(self):
-        plan = RunConfig(lie_finetune_epochs=7).training_plan()
-        assert plan.lie_finetune.epochs == 7
-        assert plan.phase1_per_class == 21
+    def test_recipe_reads_its_stage_keys(self):
+        cfg = RunConfig(lie_finetune_epochs=7)
+        assert cfg.recipe("lie_finetune").epochs == 7
+        assert cfg.recipe("lie_pretrain").epochs == 5
+        assert cfg.phase1_per_class == 21
 
     def test_model_paths(self):
         cfg = RunConfig(model_dir=Path("m"))

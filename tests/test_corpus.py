@@ -272,9 +272,7 @@ class TestPrimaryPairs:
         conv = make_conv(
             replies=[("first", 10, True), ("nested", 20, False), ("second", 30, True)]
         )
-        pairs = primary_pairs(conv)
-        assert [p.reply_text for p in pairs] == ["first", "second"]
-        assert all(p.thread_text == "a thread" for p in pairs)
+        assert primary_pairs(conv) == [("a thread", "first"), ("a thread", "second")]
 
     def test_no_primary_replies(self):
         assert primary_pairs(make_conv()) == []

@@ -21,7 +21,7 @@ from rumorvet.backends import (
 from rumorvet.agreement import STANCE_CLASSES, build_phase22_training
 from rumorvet.errors import ModelFormatError
 from rumorvet.lie import LIE_CLASSES, build_phase21_training
-from rumorvet.pipeline import TrainingPlan
+from rumorvet.config import RunConfig
 from rumorvet.synthetic import SyntheticSpec, make_corpus
 
 from ._support import OracleBackend, one_hot, one_hot_examples, payload_v1, save_v1, smooth_labels
@@ -237,15 +237,13 @@ def test_published_recipe_scale_matches_oracle(channel):
     many minibatches with a ragged last one, then a fine-tune that
     continues training: the batches fit() holds for a call replay exactly."""
     corpus = make_corpus(SyntheticSpec(pretrain_per_class=90, seed=3))
-    plan = TrainingPlan()
     if channel == "lie":
         classes, kind = LIE_CLASSES, INPUT_TEXT
         sets = build_phase21_training(corpus.deception, corpus.train, None)
-        recipes = (plan.lie_pretrain, plan.lie_finetune)
     else:
         classes, kind = STANCE_CLASSES, INPUT_PAIR
         sets = build_phase22_training(corpus.agreement, corpus.train)
-        recipes = (plan.agreement_pretrain, plan.agreement_finetune)
+    recipes = (RunConfig().recipe(f"{channel}_pretrain"), RunConfig().recipe(f"{channel}_finetune"))
     assert recipes[0].epochs == 5 and recipes[0].batch_size == 32
     for examples, recipe in zip(sets, recipes):
         assert len(examples) > 3 * recipe.batch_size and len(examples) % recipe.batch_size

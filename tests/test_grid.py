@@ -15,11 +15,11 @@ from rumorvet import cli
 from rumorvet.backends import load_model, save_model
 from rumorvet.corpus import gold_labels, save_conversations_jsonl
 from rumorvet.evaluation import build_report, restrict_to_windowed
-from rumorvet.pipeline import MODE_BACKENDS, MODES, PipelineConfig, backend_names, train_backends
+from rumorvet.pipeline import MODE_BACKENDS, MODES, PipelineConfig, backend_names
 from rumorvet.predictions import load_predictions_jsonl
 
 from .conftest import reference_factory
-from ._support import CountingBackend, OracleBackend, classify_oracle, payload_v1, spread_reply_ages
+from ._support import CountingBackend, OracleBackend, classify_oracle, payload_v1, spread_reply_ages, train_synthetic
 
 WINDOWS = (None, 1, 3, 5)
 
@@ -106,15 +106,14 @@ def test_grid_training_builds_four_backends(syn_corpus, named_backends):
         built.append((classes, input_kind, seed))
         return reference_factory(classes, input_kind, seed)
 
-    corpora = (list(syn_corpus.hedge), list(syn_corpus.deception), list(syn_corpus.agreement))
-    grid = train_backends(backend_names(MODES), list(syn_corpus.train), *corpora, counting_factory)
+    grid = train_synthetic(backend_names(MODES), syn_corpus, counting_factory)
     assert len(built) == 4
     assert sorted(grid) == ["agreement", "lie", "lie_unrouted", "phase1"]
     for name, backend in grid.items():
         assert backend.payload() == named_backends[name].payload()
     # Each mode trained on its own gets the same models the grid shares.
     for mode in MODES:
-        alone = train_backends(backend_names([mode]), list(syn_corpus.train), *corpora, reference_factory)
+        alone = train_synthetic(backend_names([mode]), syn_corpus, reference_factory)
         assert {name: b.payload() for name, b in alone.items()} == {
             name: grid[name].payload() for name in MODE_BACKENDS[mode].values()
         }

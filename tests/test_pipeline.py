@@ -19,7 +19,7 @@ from rumorvet.pipeline import (
 from rumorvet.predictions import CHANNEL_AGREEMENT, CHANNEL_LIE
 from rumorvet.probs import FALSE, TRUE, UNVERIFIED
 
-from ._support import TableBackend, make_conv
+from ._support import TableBackend, make_conv, train_synthetic
 
 VERACITY = (TRUE, FALSE, UNVERIFIED)
 
@@ -199,19 +199,9 @@ class TestTrainPipeline:
             assert all(p.label in VERACITY for p in preds)
 
     def test_retraining_is_deterministic(self, syn_corpus, trained):
-        from rumorvet.pipeline import train_backends
-
         from .conftest import reference_factory
 
-        again = train_backends(
-            backend_names([MODE_SINGLE_LIE]),
-            list(syn_corpus.train),
-            list(syn_corpus.hedge),
-            list(syn_corpus.deception),
-            list(syn_corpus.agreement),
-            reference_factory,
-            seed=0,
-        )
+        again = train_synthetic(backend_names([MODE_SINGLE_LIE]), syn_corpus, reference_factory)
         assert again["lie_unrouted"].payload() == trained[MODE_SINGLE_LIE]["lie_unrouted"].payload()
 
     def test_single_lie_differs_from_routed_lie(self, trained):

@@ -1,10 +1,16 @@
-"""The benchmark's tracer still finds every function it wraps."""
+"""The benchmark's harness still runs against this checkout: its tracer
+finds every function it wraps, and every workload's commands succeed."""
 
+import dataclasses
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import rumorvet.cli  # noqa: F401  (the tracer patches every loaded rumorvet module)
-from rumorvet import evaluation, pipeline
+from rumorvet import cli, evaluation, pipeline
 from rumorvet.agreement import STANCE_CLASSES
 from rumorvet.backends import INPUT_PAIR, ReferenceBackend, TrainingRecipe
 from rumorvet.pipeline import MODE_SINGLE_AGREEMENT, score_grid
@@ -90,3 +96,61 @@ def test_traced_score_grid_times_aggregation(monkeypatch):
         tracer.uninstall()
     assert [p.n_replies_used for p in row.predictions] == [2]
     assert tracer.layer_stats()["agreement.aggregate.s"] > 0
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    """perfbench's inputs and workloads modules, imported fresh and dropped
+    from sys.modules afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    names = ("inputs", "workloads")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield tuple(importlib.import_module(name) for name in names)
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("name", ["paper_grid", "classify_crowd", "classify_tree"])
+def test_workload_commands_pass_their_checks(perfbench, tmp_path, capsys, name):
+    """Each workload's set-up and timed commands, on shrunken inputs, exit 0
+    and pass the workload's own output checks: a change to what the harness
+    calls fails here rather than in a benchmark run."""
+    inputs, workloads = perfbench
+    w = workloads.WORKLOADS[name]
+    spec = dataclasses.replace(
+        w.inputs,
+        train_per_cell=25,
+        test_per_cell=5,
+        pretrain_per_class=80,
+        noise_vocab=min(w.inputs.noise_vocab, 300),
+    )
+    inputs.write_inputs(inputs.build_corpus(spec, 1), tmp_path / "in", train_as_dir=w.grid, test_as_dir=w.test_as_dir)
+    for argv in w.setup_commands(tmp_path) + w.timed_commands(tmp_path):
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+    failures, n_predictions, _ = w.check(tmp_path)
+    assert failures == [] and n_predictions > 0
+
+
+def _run_module(monkeypatch):
+    """perfbench/run.py, loaded under a name no other test uses."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run_under_test", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summarize_without_a_percentile(monkeypatch):
+    """Under 40 samples no listed percentile has 10 samples above it."""
+    assert _run_module(monkeypatch).summarize([float(i) for i in range(39)]) == "median 19 (n=39)"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NameError,
+    reason="perfbench/run.py imports percentile inside main() only (ROADMAP item 1)",
+)
+def test_summarize_with_a_percentile(monkeypatch):
+    """40 samples reach p75, which calls percentile."""
+    assert "p75" in _run_module(monkeypatch).summarize([float(i) for i in range(40)])
