@@ -28,6 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .corpus import read_json
 from .errors import ModelError, ModelFormatError, UntrainedBackend
 from .probs import _SUM_TOL, ProbVector
 
@@ -423,17 +424,13 @@ def save_model(backend, path) -> None:
 
 def load_model(path) -> ClassifierBackend:
     """Load a backend from a model file save_model wrote, in format 1 or 2.
-    Whatever is wrong with the file is a ModelFormatError."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
+    Whatever is wrong with the file is a ModelFormatError naming it."""
+    doc = read_json(path, error=ModelFormatError)
     if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: a model file is a JSON object, got {type(doc).__name__}")
+        raise ModelFormatError(f"a model file is a JSON object, got {type(doc).__name__}", path=path)
     version, kind = doc.get("format_version"), doc.get("backend_kind")
     if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
-        raise ModelFormatError(f"{path}: unsupported model format version {version!r}")
+        raise ModelFormatError(f"unsupported model format version {version!r}", path=path)
     try:
         if kind == ReferenceBackend.backend_kind:
             return ReferenceBackend.from_payload(doc["payload"], version)
@@ -442,7 +439,7 @@ def load_model(path) -> ClassifierBackend:
 
             return TransformerBackend.from_payload(doc["payload"])
     except ModelError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+        raise ModelFormatError(str(exc), path=path) from exc
     except (ImportError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{path}: cannot load {kind} model: {type(exc).__name__}: {exc}") from exc
-    raise ModelFormatError(f"{path}: unknown backend kind {kind!r}")
+        raise ModelFormatError(f"cannot load {kind} model: {type(exc).__name__}: {exc}", path=path) from exc
+    raise ModelFormatError(f"unknown backend kind {kind!r}", path=path)

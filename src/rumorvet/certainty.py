@@ -135,7 +135,7 @@ def _load_tsv(path, valid_labels: tuple[str, ...], n_text_cols: int):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise CorpusFormatError(f"not UTF-8 text ({exc})", path=path) from exc
     out = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -156,7 +156,7 @@ def _load_tsv(path, valid_labels: tuple[str, ...], n_text_cols: int):
         else:
             out.append((tuple(texts), label))
     if not out:
-        raise CorpusFormatError(f"{path}: no example lines")
+        raise CorpusFormatError("no example lines", path=path)
     return out
 
 

@@ -319,8 +319,8 @@ def _load_backend(cfg: RunConfig, name: str):
     spec = BACKEND_SPECS[name]
     if (tuple(backend.classes), backend.input_kind) != (spec.classes, spec.input_kind):
         raise ModelFormatError(
-            f"{path}: a {name} model has classes {list(spec.classes)} and {spec.input_kind} input, "
-            f"this one has {list(backend.classes)} and {backend.input_kind} input"
+            f"a {name} model has classes {list(spec.classes)} and {spec.input_kind} input, "
+            f"this one has {list(backend.classes)} and {backend.input_kind} input", path=path
         )
     return backend
 

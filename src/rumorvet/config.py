@@ -204,7 +204,7 @@ def load_config(
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+            raise ConfigError(f"not UTF-8 text ({exc})", path=path) from exc
         raw = parse_config_text(text, source=str(path))
         for key, value in raw.items():
             if key not in types:

@@ -21,7 +21,6 @@ import os
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedStructure, UnparseableTimestamp
@@ -191,23 +190,27 @@ def post_from_json(obj: dict, fallback_id: str | None = None) -> Post:
 
 
 def _walk_structure(node, parent_id: str, seen: set[str], out: list[tuple[str, str]], path):
-    """Collect (child_id, parent_id) edges from a nested structure node."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = [(child, []) for child in node]
-    elif node is None:
-        return
-    else:
-        raise MalformedStructure(f"unexpected structure node {node!r}", path=path)
-    for child, grandchildren in items:
+    """Collect (child_id, parent_id) edges from a nested structure node in
+    pre-order. A stack stands in for recursion, so any depth the JSON
+    decoder accepts is walked."""
+    stack = []
+    while True:
+        if isinstance(node, dict):
+            stack.extend((child, grandchildren, parent_id) for child, grandchildren in reversed(node.items()))
+        elif isinstance(node, list):
+            stack.extend((child, None, parent_id) for child in reversed(node))
+        elif node is not None:
+            raise MalformedStructure(f"unexpected structure node {node!r}", path=path)
+        if not stack:
+            return
+        child, node, parent = stack.pop()
         if not isinstance(child, str):
             raise MalformedStructure(f"structure id {child!r} is not a string", path=path)
         if child in seen:
             raise MalformedStructure(f"duplicate id {child} in structure", path=path)
         seen.add(child)
-        out.append((child, parent_id))
-        _walk_structure(grandchildren, child, seen, out, path)
+        out.append((child, parent))
+        parent_id = child
 
 
 def load_conversation(
@@ -234,7 +237,7 @@ def load_conversation(
     structure_path = os.path.join(d, "structure.json")
     if not os.path.isfile(structure_path):
         raise MalformedStructure("missing structure.json", path=d)
-    structure = _read_json(structure_path, digests)
+    structure = read_json(structure_path, digests)
     if not isinstance(structure, dict):
         raise MalformedStructure("structure.json root is not an object", path=structure_path)
 
@@ -297,10 +300,10 @@ def load_conversation(
     return Conversation(thread=thread, replies=replies, gold_label=gold)
 
 
-def _read_json(path: str, digests: dict[str, str] | None = None):
+def read_json(path, digests: dict[str, str] | None = None, error=MalformedStructure):
     """Parse one JSON file from a single read of its bytes; with digests,
     record their sha256 under path. A file that cannot be read, or is not
-    UTF-8 JSON, is a MalformedStructure."""
+    UTF-8 JSON, is an error of the class given (a RumorVetError)."""
     try:
         # Per small file, os.read costs about half of open().read() and two
         # thirds of open(buffering=0).readall().
@@ -311,19 +314,49 @@ def _read_json(path: str, digests: dict[str, str] | None = None):
                 chunks.append(chunk)
         finally:
             os.close(fd)
-        data = b"".join(chunks)
-        if digests is not None:
-            digests[path] = hashlib.sha256(data).hexdigest()
-        return json.loads(data.decode("utf-8"))
     except OSError as exc:
-        raise MalformedStructure(f"cannot read: {exc.strerror or exc}", path=path) from exc
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise MalformedStructure(f"invalid JSON: {exc}", path=path) from exc
+        raise error(f"cannot read: {exc.strerror or exc}", path=path) from exc
+    data = b"".join(chunks)
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return parse_json(data, error, path)
+
+
+def parse_json(data, error, path, line=None):
+    """The JSON value in data: text, or bytes decoded here as UTF-8 (so the
+    decoder never guesses UTF-16 or UTF-32). Data that is not JSON, or is
+    nested deeper than the decoder can follow, is an error(..., path=path)
+    naming the line when one is given. The package's only JSON parse."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        where = "invalid JSON" if line is None else f"line {line} is invalid JSON"
+        raise error(f"{where}: {exc}", path=path) from exc
+
+
+def read_jsonl(path, record, what: str) -> list:
+    """record(obj) for the JSON object on each non-blank line of a UTF-8
+    file, read line by line. A line that is not JSON, or whose object
+    record rejects with KeyError, TypeError or ValueError, raises
+    MalformedStructure naming the line."""
+    out = []
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    out.append(record(parse_json(line, MalformedStructure, path, lineno)))
+    except UnicodeDecodeError as exc:
+        raise MalformedStructure(f"not UTF-8 text after line {lineno}: {exc}", path=path) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedStructure(f"line {lineno} is not a {what} record: {exc!r}", path=path) from exc
+    return out
 
 
 def _read_post(entry: os.DirEntry, digests: dict[str, str] | None) -> Post:
     # The fallback id is the file's Path.stem, which keeps a bare ".json" whole.
-    obj = _read_json(entry.path, digests)
+    obj = read_json(entry.path, digests)
     try:
         return post_from_json(obj, fallback_id=entry.name[:-5] or entry.name)
     except (MalformedStructure, UnparseableTimestamp) as exc:  # name the file
@@ -372,23 +405,24 @@ def load_split(
 
 
 def load_key_file(path) -> dict[str, str]:
-    """Read gold veracity labels from a task key file.
-
-    Accepts both the nested form ({"subtaskbenglish": {id: label}}) and a
-    flat {id: label} object.
-    """
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise MalformedStructure(f"cannot read key file: {exc}", path=path) from exc
+    """Read gold veracity labels from a flat {id: label} key file, or from
+    the nested form's "subtaskbenglish" (or "subtaskb") object. A root with
+    an object under any "subtask..." key is nested: other tasks' objects
+    are ignored, and any entry beside them that is not an object is an
+    error. A label that is an object is an error in either form."""
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise MalformedStructure("key file root is not an object", path=path)
-    for key in ("subtaskbenglish", "subtaskb"):
-        if isinstance(obj.get(key), dict):
-            obj = obj[key]
-            break
-    labels = {str(k): str(v).lower() for k, v in obj.items() if not isinstance(v, dict)}
-    for tid, label in labels.items():
+    if any(k.startswith("subtask") and isinstance(v, dict) for k, v in obj.items()):
+        stray = [k for k, v in obj.items() if not isinstance(v, dict)]
+        if stray:
+            raise MalformedStructure(f"entry {stray[0]!r} beside the task keys is not an object", path=path)
+        obj = obj.get("subtaskbenglish", obj.get("subtaskb", {}))
+    labels = {}
+    for tid, value in obj.items():
+        if isinstance(value, dict):
+            raise MalformedStructure(f"thread {tid!r}: gold label is an object", path=path)
+        labels[tid] = label = str(value).lower()
         if label not in VERACITY_CLASSES:
             raise MalformedStructure(f"thread {tid!r}: gold label {label!r} not in {VERACITY_CLASSES}", path=path)
     return labels
@@ -492,21 +526,7 @@ def save_conversations_jsonl(convs: Iterable[Conversation], path) -> None:
 def load_conversations_jsonl(path) -> list[Conversation]:
     """Read the canonical dump; a line that is not a conversation record
     raises MalformedStructure naming the line."""
-    convs = []
-    lineno = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    convs.append(conversation_from_dict(json.loads(line)))
-    except UnicodeDecodeError as exc:
-        raise MalformedStructure(f"not UTF-8 text after line {lineno}: {exc}", path=path) from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedStructure(
-            f"line {lineno} is not a conversation record: {exc!r}", path=path
-        ) from exc
-    return convs
+    return read_jsonl(path, conversation_from_dict, "conversation")
 
 
 def gold_labels(convs: Sequence[Conversation]) -> dict[str, str]:

@@ -6,7 +6,12 @@ input data, exit 2) and ModelError (bad or missing trained state, exit 3).
 
 
 class RumorVetError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; the message names the
+    file at path when one is given."""
+
+    def __init__(self, message: str, path=None):
+        self.path = path
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class UsageError(RumorVetError):
@@ -18,11 +23,7 @@ class ConfigError(UsageError):
 
 
 class DataError(RumorVetError):
-    """Bad input data (CLI exit 2), in the file at path when one is given."""
-
-    def __init__(self, message: str, path=None):
-        self.path = path
-        super().__init__(message if path is None else f"{path}: {message}")
+    """Bad input data (CLI exit 2)."""
 
 
 class MalformedStructure(DataError):

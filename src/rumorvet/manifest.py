@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from importlib import metadata
 from pathlib import Path
@@ -73,16 +73,7 @@ class RunManifest:
     tool_version: str = field(default_factory=tool_version)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "config": dict(self.config),
-            "inputs": dict(self.inputs),
-            "models": dict(self.models),
-            "outputs": dict(self.outputs),
-            "created_at": self.created_at,
-            "tool_version": self.tool_version,
-        }
+        return {**asdict(self), "argv": list(self.argv)}
 
 
 def build_manifest(
@@ -123,17 +114,3 @@ def write_manifest(manifest: RunManifest, path) -> Path:
         json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
-
-
-def read_manifest(path) -> RunManifest:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunManifest(
-        command=doc["command"],
-        argv=tuple(doc["argv"]),
-        config=doc["config"],
-        inputs=doc["inputs"],
-        models=doc["models"],
-        outputs=doc["outputs"],
-        created_at=doc["created_at"],
-        tool_version=doc["tool_version"],
-    )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .certainty import ChannelAssignment
+from .corpus import read_jsonl
 from .probs import ProbVector, decide
 
 CHANNEL_LIE = "lie"
@@ -86,10 +87,7 @@ def save_predictions_jsonl(preds: Iterable[VeracityPrediction], path) -> None:
 
 
 def load_predictions_jsonl(path) -> list[VeracityPrediction]:
-    preds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                preds.append(prediction_from_dict(json.loads(line)))
-    return preds
+    """Read a prediction file back, e.g. to check each record replays; a
+    line that is not a prediction record raises MalformedStructure naming
+    the line."""
+    return read_jsonl(path, prediction_from_dict, "prediction")

@@ -25,7 +25,7 @@ from rumorvet.backends import ClassifierBackend
 from rumorvet.certainty import CERTAINTY_CLASSES, ChannelAssignment
 from rumorvet.config import RunConfig
 from rumorvet.corpus import Conversation, Post, Reply, clean_text, filter_window
-from rumorvet.errors import UnparseableTimestamp, UntrainedBackend
+from rumorvet.errors import MalformedStructure, UnparseableTimestamp, UntrainedBackend
 from rumorvet.pipeline import BACKEND_SPECS, MODE_BACKENDS, train_backends
 from rumorvet.predictions import (
     CHANNEL_AGREEMENT,
@@ -114,6 +114,26 @@ def sha256_tree_oracle(root) -> str:
             h.update(hashlib.sha256(p.read_bytes()).hexdigest().encode("ascii"))
             h.update(b"\n")
     return h.hexdigest()
+
+
+def walk_structure_oracle(node, parent_id: str, seen: set[str], out: list[tuple[str, str]], path):
+    """The structure walk as first written, recursing once per level."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(child, []) for child in node]
+    elif node is None:
+        return
+    else:
+        raise MalformedStructure(f"unexpected structure node {node!r}", path=path)
+    for child, grandchildren in items:
+        if not isinstance(child, str):
+            raise MalformedStructure(f"structure id {child!r} is not a string", path=path)
+        if child in seen:
+            raise MalformedStructure(f"duplicate id {child} in structure", path=path)
+        seen.add(child)
+        out.append((child, parent_id))
+        walk_structure_oracle(grandchildren, child, seen, out, path)
 
 
 def parse_timestamp_oracle(value) -> datetime:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against a materialized benchmark."""
 
+import base64
 import contextlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import shutil
 import sys
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -510,6 +512,24 @@ class TestExitCodes:
         assert "odd-key.json" in err and "labels none" in err
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("form", ["flat_object_label", "nested_stray_label"])
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    def test_key_file_entries_are_not_dropped(self, ws, tmp_path, form, command):
+        """A label that is an object, and a label beside the task key, were
+        skipped without a word while other threads kept theirs."""
+        t1, t2 = sorted(load_key_file(ws["test_key"]))[:2]
+        doc = ({t1: "true", t2: {"label": "false"}} if form == "flat_object_label"
+               else {"subtaskbenglish": {t1: "true"}, t2: "maybe"})
+        key = tmp_path / "key.json"
+        key.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = (["ingest", ws["test_dir"], str(out), "--key", str(key)] if command == "ingest" else
+                ["evaluate", ws["test_dir"], "--config", ws["cfg"], "--key", str(key), "--out", str(out)])
+        rc, err = _run(argv)
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert "key.json" in err and repr(t2) in err
+        assert not out.exists()
+
     def test_ingest_key_naming_no_thread_is_data_error(self, ws, tmp_path, capsys):
         key = tmp_path / "other-key.json"
         key.write_text(json.dumps({"subtaskbenglish": {"not-a-thread": "true"}}), encoding="utf-8")
@@ -883,6 +903,75 @@ class TestMissingInputs:
         assert not out.exists()
 
 
+# -- JSON nested past the decoder's limit --------------------------------------
+
+_DEEP = "[" * 100_000
+
+
+def _chain(root: str, depth: int) -> str:
+    """A structure.json whose root has a chain of depth nested replies
+    (written by hand: json.dumps cannot nest that deep either)."""
+    return json.dumps({root: "CHAIN"}).replace('"CHAIN"', "".join(f'{{"r{i}": ' for i in range(depth)) + "{}" + "}" * depth)
+
+
+class TestDeepJson:
+    """Each JSON input the CLI reads, nested deeper than the decoder follows,
+    is that input's error with one line on stderr, never a RecursionError."""
+
+    @staticmethod
+    def _tree(ws, tmp_path, victim):
+        tree = tmp_path / "tree"
+        shutil.copytree(ws["test_dir"], tree)
+        reply = next(tree.glob("*/replies/*.json"))
+        if victim == "post":
+            reply.write_text(_DEEP, encoding="utf-8")
+            return tree, reply
+        thread = reply.parent.parent
+        path = thread / "structure.json"
+        path.write_text(_chain(next(thread.glob("source-tweet/*.json")).stem, 995), encoding="utf-8")
+        return tree, path
+
+    @pytest.mark.parametrize(
+        "victim,command", [("post", "ingest"), ("post", "classify"), ("structure", "ingest")]
+    )
+    def test_conversation_tree(self, ws, tmp_path, victim, command):
+        tree, path = self._tree(ws, tmp_path, victim)
+        out = tmp_path / "out.jsonl"
+        argv = ["ingest", str(tree), str(out)] if command == "ingest" else [
+            "classify", str(tree), "--config", ws["cfg"], "--out", str(out)]
+        rc, err = _run(argv)
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert path.name in err and "invalid JSON" in err and "recursion" in err
+        assert not out.exists()
+
+    def test_jsonl_line(self, ws, tmp_path):
+        lines = [json.dumps(conversation_to_dict(c)) for c in load_split(ws["test_dir"])]
+        corpus = tmp_path / "convs.jsonl"
+        corpus.write_text("\n".join([*lines[:2], _DEEP, *lines[2:]]) + "\n", encoding="utf-8")
+        rc, err = _run(["classify", str(corpus), "--config", ws["cfg"], "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert "convs.jsonl: line 3 is invalid JSON" in err
+
+    def test_key_file(self, ws, tmp_path):
+        key = tmp_path / "key.json"
+        key.write_text(_DEEP, encoding="utf-8")
+        out = tmp_path / "reports"
+        rc, err = _run(["evaluate", ws["test_dir"], "--config", ws["cfg"], "--key", str(key), "--out", str(out)])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert "key.json: invalid JSON" in err
+        assert not out.exists()
+
+    def test_model_file(self, ws, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(ws["models"], models)
+        (models / "phase1.json").write_text(_DEEP, encoding="utf-8")
+        out = tmp_path / "p.jsonl"
+        rc, err = _run(["classify", ws["test_dir"], "--config", ws["cfg"], "--model-dir", str(models), "--out", str(out)])
+        assert rc == 3 and len(err.splitlines()) == 1, err
+        assert "model error" in err and "phase1.json: invalid JSON" in err
+        assert not out.exists()
+
+
 # -- the loaders, fuzzed through the CLI ---------------------------------------
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -909,6 +998,87 @@ def _assert_exit_contract(rc: int, err: str) -> None:
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
 
 
+def _paths(node, path=()):
+    """The key path of every value below node, in pre-order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _edit(doc, op: str, i: int, value) -> None:
+    """Apply one edit in place to the i-th value below doc (modulo their
+    number): set it to value, drop it, wrap it in a list, or change a
+    list's or string's length (a base64 string by whole decoded bytes)."""
+    paths = list(_paths(doc))
+    if not paths:
+        return
+    *head, last = paths[i % len(paths)]
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    node = parent[last]
+    if op == "set":
+        parent[last] = value
+    elif op == "drop":
+        del parent[last]
+    elif op == "wrap":
+        parent[last] = [node]
+    elif op == "grow" and isinstance(node, (list, str)):
+        parent[last] = node + node[:1]
+    elif op == "shrink" and isinstance(node, (list, str)):
+        parent[last] = node[:-1]
+    elif op == "bytes" and isinstance(node, str):
+        with contextlib.suppress(ValueError):
+            parent[last] = base64.b64encode(base64.b64decode(node, validate=True)[: -(i % 9 + 1)]).decode()
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["set", "drop", "wrap", "grow", "shrink", "bytes"]), st.integers(0, 999), _JSON),
+    max_size=3,
+)
+_BASE_EPOCH = 1420632000  # 2015-01-07 12:00:00 UTC
+
+
+@st.composite
+def _tree_files(draw):
+    """One conversation directory as {path relative to it: JSON value}: all
+    Twitter posts (stamps as Twitter strings, ISO or epochs) or all Reddit
+    ones (some inside a Listing envelope), replies nested under the thread
+    or an earlier reply."""
+    tid = draw(st.sampled_from(["552783238415265792", "t1", "a.b"]))
+    reddit = draw(st.booleans())
+
+    def post(pid, i):
+        epoch = _BASE_EPOCH + 600 * i + draw(st.integers(0, 599))
+        text = draw(_TEXT | st.sampled_from(["fake #news http://x.co", "so true", "not sure"]))
+        if reddit:
+            obj = {"id": pid, "created_utc": epoch, ("title" if i == 0 else "body"): text}
+            if draw(st.booleans()):
+                obj = {"kind": "Listing", "data": {"children": [{"kind": "t3", "data": obj}]}}
+            return obj
+        when = datetime.fromtimestamp(epoch, tz=timezone.utc)
+        stamp = draw(st.sampled_from([when.strftime("%a %b %d %H:%M:%S %z %Y"), when.isoformat(), epoch]))
+        return {"id_str": pid, "text": text, "created_at": stamp}
+
+    files = {f"source-tweet/{tid}.json": post(tid, 0)}
+    nodes = {tid: {}}
+    for i in range(draw(st.integers(0, 4))):
+        rid = f"{tid}-r{i}"
+        files[f"replies/{rid}.json"] = post(rid, i + 1)
+        nodes[draw(st.sampled_from(sorted(nodes)))][rid] = nodes[rid] = {}
+    files["structure.json"] = {tid: nodes[tid]}
+    return files
+
+
+# A fixed tree with one reply; its files sort as replies/, source-tweet/, structure.json.
+_ONE_REPLY = {
+    "replies/t1-r0.json": {"id_str": "t1-r0", "text": "so true", "created_at": _BASE_EPOCH + 60},
+    "source-tweet/t1.json": {"id_str": "t1", "text": "fake #news", "created_at": _BASE_EPOCH},
+    "structure.json": {"t1": {"t1-r0": {}}},
+}
+
+
 class TestLoaderFuzz:
     """Key files, conversations-JSONL lines and the three TSV corpora, as
     hypothesis writes them, end in exit 0-3 and never raise."""
@@ -921,6 +1091,7 @@ class TestLoaderFuzz:
     )
     @example(raw="{}", drop=set(), relabel={})  # no train thread has gold
     @example(raw='{"a\\nb": "maybe"}', drop=set(), relabel={})  # a line break in a thread id
+    @example(raw=_DEEP, drop=set(), relabel={})  # nested past the decoder's limit
     def test_key_file(self, ws, raw, drop, relabel):
         """raw is the whole key file; without it, the train key with the
         entries at the drop indices removed and those in relabel changed."""
@@ -946,6 +1117,7 @@ class TestLoaderFuzz:
         extra=st.lists(_TEXT, max_size=2),
     )
     @example(edits=[("repeat", 3, "", None)], extra=[])  # one line given twice
+    @example(edits=[], extra=[_DEEP])  # a line nested past the decoder's limit
     def test_conversations_jsonl(self, ws, edits, extra):
         """The test split's records with fields set to any JSON, then lines
         repeated or replaced by any JSON, and lines of any text appended. A
@@ -983,3 +1155,49 @@ class TestLoaderFuzz:
             path.write_text("\n".join(real.splitlines()[:keep] + lines) + "\n", encoding="utf-8")
             argv = ["train", "--config", ws["cfg"], f"--{corpus}-corpus", str(path), *flags]
             _assert_exit_contract(*_run([*argv, "--model-dir", str(Path(tmp) / "models")]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(files=_tree_files(), edits=_EDITS, raw=st.none() | st.tuples(st.integers(0, 99), _TEXT))
+    @example(files=_ONE_REPLY, edits=[], raw=(0, _DEEP))  # a reply post nested past the decoder's limit
+    @example(files=_ONE_REPLY, edits=[], raw=(1, _DEEP))  # the source post
+    @example(files=_ONE_REPLY, edits=[], raw=(2, _chain("t1", 995)))  # a 995-reply chain
+    def test_conversation_tree(self, ws, files, edits, raw):
+        """A generated tree with edits to its JSON values and optionally one
+        file's text replaced by raw. ingest and classify <dir> read it alike;
+        when it loads, classify gives the same bytes from the ingested JSONL."""
+        for op, i, value in edits:
+            _edit(files, op, i, value)
+        texts = {rel: json.dumps(value) for rel, value in files.items()}
+        if raw is not None and texts:
+            texts[sorted(texts)[raw[0] % len(texts)]] = raw[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp) / "tree"
+            for rel, text in texts.items():
+                (tree / "thread" / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tree / "thread" / rel).write_text(text, encoding="utf-8")
+            ingested, from_dir, from_jsonl = (Path(tmp) / name for name in ("c.jsonl", "d.jsonl", "j.jsonl"))
+            rc, err = _run(["ingest", str(tree), str(ingested)])
+            _assert_exit_contract(rc, err)
+            classify = ["classify", "--config", ws["cfg"], "--out"]
+            assert _run([*classify, str(from_dir), str(tree)]) == (rc, err)
+            if rc == 0:
+                assert _run([*classify, str(from_jsonl), str(ingested)]) == (0, "")
+                assert from_jsonl.read_bytes() == from_dir.read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["phase1", "lie", "agreement"]), edits=_EDITS, raw=st.none() | _TEXT)
+    @example(name="phase1", edits=[], raw=_DEEP)  # nested past the decoder's limit
+    def test_model_file(self, ws, name, edits, raw):
+        """One of classify's model files with edits to its JSON values (types,
+        base64 payloads, list lengths, nesting), or replaced by raw text."""
+        doc = json.loads((ws["models"] / f"{name}.json").read_text(encoding="utf-8"))
+        for op, i, value in edits:
+            _edit(doc, op, i, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            models = Path(tmp) / "models"
+            shutil.copytree(ws["models"], models)
+            (models / f"{name}.json").write_text(json.dumps(doc) if raw is None else raw, encoding="utf-8")
+            argv = ["classify", ws["test_dir"], "--config", ws["cfg"], "--model-dir", str(models)]
+            rc, err = _run([*argv, "--out", str(Path(tmp) / "p.jsonl")])
+            _assert_exit_contract(rc, err)
+            assert rc in (0, 3), err

@@ -4,11 +4,12 @@ import json
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rumorvet.corpus import (
     Conversation,
+    _walk_structure,
     clean_text,
     conversation_from_dict,
     conversation_to_dict,
@@ -26,7 +27,7 @@ from rumorvet.corpus import (
 )
 from rumorvet.errors import MalformedStructure, UnparseableTimestamp
 
-from ._support import conversations, make_conv
+from ._support import conversations, make_conv, walk_structure_oracle
 
 
 class TestCleanText:
@@ -238,6 +239,44 @@ class TestLoadConversation:
             load_conversation(d)
 
 
+# Structure nodes as JSON decodes them: objects of id -> node, lists of ids,
+# null, and stray scalars; ids come from a small alphabet so they repeat.
+_IDS = st.sampled_from(["a", "b", "c", "d", "e", "t1"])
+_STRUCTURE = st.recursive(
+    st.none() | st.integers(0, 3) | st.just("x") | st.lists(_IDS | st.integers(0, 3), max_size=3),
+    lambda inner: st.dictionaries(_IDS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _walk(walk, node):
+    """(edges, seen, error message or None) of one walk from root t1."""
+    seen, out = {"t1"}, []
+    try:
+        walk(node, "t1", seen, out, "structure.json")
+    except MalformedStructure as exc:
+        return out, seen, str(exc)
+    return out, seen, None
+
+
+class TestWalkStructure:
+    @given(_STRUCTURE)
+    @example({"a": {"b": {"c": None}}, "d": ["e"]})
+    @example({"a": {"b": {}}, "c": {"b": {}}})  # the first duplicate is b, not c's later ids
+    def test_matches_recursive_oracle(self, node):
+        """Edges in the same pre-order, the same first error, and the same
+        partial edge list and seen set up to that error."""
+        assert _walk(_walk_structure, node) == _walk(walk_structure_oracle, node)
+
+    def test_depth_is_not_limited_by_recursion(self):
+        node = {}
+        for i in reversed(range(5000)):
+            node = {f"r{i}": node}
+        out = []
+        _walk_structure(node, "t1", {"t1"}, out, "structure.json")
+        assert out == [(f"r{i}", f"r{i - 1}" if i else "t1") for i in range(5000)]
+
+
 class TestLoadSplit:
     def test_sorted_by_thread_id(self, tmp_path):
         for tid in ("tb", "ta", "tc"):
@@ -265,6 +304,29 @@ class TestKeyFile:
         p = tmp_path / "key.json"
         p.write_text(json.dumps({"t1": "unverified"}))
         assert load_key_file(p) == {"t1": "unverified"}
+
+    def test_other_task_objects_are_ignored(self, tmp_path):
+        p = tmp_path / "key.json"
+        p.write_text(json.dumps({"subtaskaenglish": {"t1": "support"}, "subtaskbenglish": {"t1": "false"}}))
+        assert load_key_file(p) == {"t1": "false"}
+        p.write_text(json.dumps({"subtaskaenglish": {"t1": "support"}}))
+        assert load_key_file(p) == {}
+
+    @pytest.mark.parametrize(
+        "doc,says",
+        [
+            ({"t1": "true", "t2": {"label": "false"}}, "thread 't2': gold label is an object"),
+            ({"subtaskbenglish": {"t1": "true", "t2": {}}}, "thread 't2': gold label is an object"),
+            ({"subtaskbenglish": {"t1": "true"}, "t9": "maybe"}, "entry 't9' beside the task keys"),
+            ({"subtaskaenglish": {}, "t1": "true"}, "entry 't1' beside the task keys"),
+        ],
+        ids=["flat_object_label", "nested_object_label", "nested_stray_label", "stray_beside_other_task"],
+    )
+    def test_entries_are_not_dropped(self, tmp_path, doc, says):
+        p = tmp_path / "key.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(MalformedStructure, match=says):
+            load_key_file(p)
 
 
 class TestPrimaryPairs:

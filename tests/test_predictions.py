@@ -1,5 +1,10 @@
 """Prediction records: replay rule and the JSONL wire format."""
 
+import json
+import re
+
+import pytest
+
 from rumorvet.certainty import CERTAIN, ChannelAssignment
 from rumorvet.predictions import (
     CHANNEL_AGREEMENT,
@@ -10,6 +15,7 @@ from rumorvet.predictions import (
     prediction_to_dict,
     save_predictions_jsonl,
 )
+from rumorvet.errors import MalformedStructure
 from rumorvet.probs import FALSE, TRUE, UNVERIFIED, ProbVector
 
 
@@ -58,6 +64,31 @@ class TestWireFormat:
         path = tmp_path / "preds.jsonl"
         save_predictions_jsonl(preds, path)
         assert load_predictions_jsonl(path) == preds
+
+    @pytest.mark.parametrize(
+        "change,says",
+        [
+            (lambda d: d.pop("label"), "KeyError('label')"),
+            (lambda d: d.update(evidence=0.5), "TypeError"),
+            (lambda d: d.update(evidence=[0.5, 0.6]), "ValueError"),
+            (lambda d: d.update(n_replies_used="many"), "ValueError"),
+            (lambda d: d.update(assignment=[]), "TypeError"),
+        ],
+        ids=["missing_key", "evidence_not_a_list", "evidence_not_a_distribution", "count_not_a_number", "assignment_a_list"],
+    )
+    def test_jsonl_bad_record_names_the_line(self, tmp_path, change, says):
+        record = prediction_to_dict(_pred())
+        change(record)
+        path = tmp_path / "preds.jsonl"
+        path.write_text(json.dumps(prediction_to_dict(_pred())) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedStructure, match=re.escape(f"preds.jsonl: line 2 is not a prediction record: {says}")):
+            load_predictions_jsonl(path)
+
+    def test_jsonl_bad_json_names_the_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(MalformedStructure, match="preds.jsonl: line 2 is invalid JSON"):
+            load_predictions_jsonl(path)
 
     def test_fixed_field_set(self):
         assert sorted(prediction_to_dict(_pred())) == [

@@ -23,13 +23,14 @@ from hypothesis import strategies as st
 
 from rumorvet import cli, manifest
 from rumorvet.corpus import (
-    _read_json,
     find_conversation_dirs,
     load_split,
+    parse_json,
     parse_timestamp,
     post_from_dict,
+    read_json,
 )
-from rumorvet.errors import MalformedStructure, RumorVetError
+from rumorvet.errors import MalformedStructure, ModelFormatError, RumorVetError
 from rumorvet.manifest import checksum, sha256_tree
 from rumorvet.synthetic import write_conversation_dir
 
@@ -223,8 +224,28 @@ def test_read_json_reads_every_chunk(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"text": "x" * 200_000}), encoding="utf-8")
     digests = {}
-    assert _read_json(str(path), digests) == {"text": "x" * 200_000}
+    assert read_json(str(path), digests) == {"text": "x" * 200_000}
     assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize(
+    "data,says",
+    [
+        ("[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ('{"a": 1', "invalid JSON: Expecting"),
+        ('{"a": 1}'.encode("utf-16"), "invalid JSON: 'utf-8' codec can't decode"),
+        ('{"a": 1}'.encode("utf-32-le"), "invalid JSON: Expecting property name"),
+    ],
+    ids=["too_deep", "truncated", "utf16_with_bom", "utf32_without_bom"],
+)
+def test_parse_json_reports_through_the_given_class(data, says):
+    """Nesting past the decoder's limit is an error like any other, and bytes
+    are UTF-8 only: json.loads alone would decode UTF-16 and UTF-32."""
+    with pytest.raises(ModelFormatError) as raised:
+        parse_json(data, ModelFormatError, "m.json")
+    assert str(raised.value).startswith(f"m.json: {says}")
+    with pytest.raises(MalformedStructure, match=f"^c.jsonl: line 7 is {says}"):
+        parse_json(data, MalformedStructure, "c.jsonl", 7)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -238,7 +259,7 @@ def test_unreadable_file_message_and_no_open_fd(tmp_path, kind):
     want = f"{path}: cannot read: {opened.value.strerror}"
     before = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(MalformedStructure) as raised:
-        _read_json(str(path))
+        read_json(str(path))
     assert str(raised.value) == want
     assert sorted(os.listdir("/proc/self/fd")) == before
 

@@ -1,6 +1,8 @@
 """The benchmark's harness still runs against this checkout: its tracer
-finds every function it wraps, and every workload's commands succeed."""
+finds every function it wraps, and every workload's commands succeed. The
+package keeps one JSON parse site."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import rumorvet
 import rumorvet.cli  # noqa: F401  (the tracer patches every loaded rumorvet module)
 from rumorvet import cli, evaluation, pipeline
 from rumorvet.agreement import STANCE_CLASSES
@@ -18,6 +21,39 @@ from rumorvet.pipeline import MODE_SINGLE_AGREEMENT, score_grid
 from ._support import make_conv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class _JsonParseSites(ast.NodeVisitor):
+    """(file, enclosing function) of each json.load/json.loads reference and
+    each `from json import`, which could bring them in under other names."""
+
+    def __init__(self, name: str):
+        self.name, self.function, self.sites = name, None, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in ("load", "loads"):
+            self.sites.append((self.name, self.function))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json":
+            self.sites.append((self.name, f"from json import, line {node.lineno}"))
+
+
+def test_json_is_parsed_only_in_parse_json():
+    """corpus.parse_json decides how every JSON input is decoded and how a
+    failure is reported; a second parse site would fork that decision."""
+    sites = []
+    for path in sorted(Path(rumorvet.__file__).parent.glob("*.py")):
+        finder = _JsonParseSites(path.name)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += finder.sites
+    assert sites == [("corpus.py", "parse_json")]
 
 
 def _tracing(monkeypatch):
